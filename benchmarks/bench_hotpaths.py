@@ -13,8 +13,10 @@ side, and archives the numbers in ``results/BENCH_hotpaths.json``:
    fancy-indexed lookup into the grid's cached distance table;
 3. **pairwise distances** — the O(n^2) per-pair python loop vs the
    broadcast/Gram fast paths, for all five named metrics;
-4. **linkage fit** — complete-linkage clustering over the SOM-unit
-   distance matrix (no old/new pair; tracked for regression);
+4. **linkage fit** — complete-linkage clustering of SOM map positions
+   (integer points on a 13x13 lattice, so ties abound): the
+   full-matrix masked-argmin loop vs the cached nearest-neighbour
+   search, which must produce exactly the same merges;
 5. **bootstrap** — one-replicate-at-a-time resampling + scalar
    ``hierarchical_mean`` calls vs the matrix resampler +
    ``hierarchical_mean_many``, equal at 1e-12 for the same seed.
@@ -57,6 +59,7 @@ from repro.viz.tables import format_table
 from repro.workloads.execution import RunSample
 
 from tests.reference_kernels import (
+    reference_agglomerative_merges,
     reference_bootstrap_scores,
     reference_pairwise_distances,
     reference_resampled_speedups,
@@ -70,6 +73,10 @@ SMOKE = os.environ.get("BENCH_HOTPATHS_SMOKE") == "1"
 STEPS_PER_SAMPLE = 25 if SMOKE else 500
 SOM_SHAPES = ((13, 216), (13, 14))
 PAIRWISE_SHAPE = (24, 16) if SMOKE else (64, 216)
+# 1000 workloads fill a 13x13 map (the big-suite regime) with many
+# workloads per cell.
+LINKAGE_POINTS = 200 if SMOKE else 1000
+LINKAGE_LATTICE = 13
 BOOTSTRAP_RESAMPLES = 50 if SMOKE else 1000
 BOOTSTRAP_WORKLOADS = [f"w{i}" for i in range(1, 14)]
 BOOTSTRAP_PARTITION = Partition(
@@ -178,14 +185,28 @@ def _bench_pairwise():
 
 def _bench_linkage():
     rng = np.random.default_rng(8)
-    points = rng.normal(size=PAIRWISE_SHAPE)
+    points = rng.integers(
+        0, LINKAGE_LATTICE, size=(LINKAGE_POINTS, 2)
+    ).astype(float)
     distances = pairwise_distances(points)
-    seconds, dendrogram = _best_of(
-        lambda: AgglomerativeClustering().fit_distance_matrix(distances),
-        repeats=1 if SMOKE else 3,
+    old_seconds, old_merges = _best_of(
+        lambda: reference_agglomerative_merges(distances, "complete"),
+        repeats=1,
     )
-    assert len(dendrogram.merges) == PAIRWISE_SHAPE[0] - 1
-    return {"units": PAIRWISE_SHAPE[0], "fit_seconds": seconds}
+    new_seconds, dendrogram = _best_of(
+        lambda: AgglomerativeClustering().fit_distance_matrix(distances),
+        repeats=3,
+    )
+    assert dendrogram.merges == old_merges, (
+        "cached nearest-neighbour search drifted from the full-matrix loop"
+    )
+    return {
+        "units": LINKAGE_POINTS,
+        "lattice": f"{LINKAGE_LATTICE}x{LINKAGE_LATTICE}",
+        "reference_seconds": old_seconds,
+        "fit_seconds": new_seconds,
+        "speedup": old_seconds / new_seconds,
+    }
 
 
 def _bootstrap_inputs():
@@ -297,7 +318,12 @@ def test_hotpath_kernels_speedup(benchmark):
             )
         )
     table_rows.append(
-        ("linkage fit", payload["linkage"]["fit_seconds"], "", "")
+        (
+            f"linkage fit x{payload['linkage']['units']}",
+            payload["linkage"]["reference_seconds"],
+            payload["linkage"]["fit_seconds"],
+            payload["linkage"]["speedup"],
+        )
     )
     table_rows.append(
         (
@@ -319,6 +345,7 @@ def test_hotpath_kernels_speedup(benchmark):
         for stats in payload["som_sequential"].values():
             assert stats["speedup"] > 1.0
         assert payload["bootstrap"]["speedup"] > 5.0
+        assert payload["linkage"]["speedup"] > 1.0
         for stats in payload["pairwise"].values():
             assert stats["speedup"] > 1.0
 

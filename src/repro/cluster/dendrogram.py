@@ -212,17 +212,19 @@ class Dendrogram:
     def leaf_order(self) -> tuple[str, ...]:
         """Leaves ordered so every cluster is contiguous (plot order)."""
         count = self.num_leaves
-        if count == 1:
-            return self._labels
-
-        def descend(cluster_id: int) -> list[int]:
+        # Depth-first, first child before second, with an explicit
+        # stack: a chained tree is as deep as it has leaves.
+        order: list[str] = []
+        pending = [count + len(self._merges) - 1]
+        while pending:
+            cluster_id = pending.pop()
             if cluster_id < count:
-                return [cluster_id]
+                order.append(self._labels[cluster_id])
+                continue
             merge = self._merges[cluster_id - count]
-            return descend(merge.first) + descend(merge.second)
-
-        root = count + len(self._merges) - 1
-        return tuple(self._labels[i] for i in descend(root))
+            pending.append(merge.second)
+            pending.append(merge.first)
+        return tuple(order)
 
     def cophenetic_matrix(self) -> np.ndarray:
         """Matrix of cophenetic distances (merge height joining each pair).

@@ -53,7 +53,12 @@ class Linkage:
         size_q: int,
         sizes_k: np.ndarray,
     ) -> np.ndarray:
-        """Distances from the merged cluster ``p ∪ q`` to every other cluster."""
+        """Distances from the merged cluster ``p ∪ q`` to every other cluster.
+
+        Elementwise over ``k``: the agglomerative fit passes whole
+        matrix rows, and discards the entries for ``p``, ``q`` and
+        retired slots (whose inputs are ``inf``).
+        """
         raise NotImplementedError
 
     def between(

@@ -117,21 +117,21 @@ def render_dendrogram(dendrogram: Dendrogram, *, precision: int = 2) -> str:
         return dendrogram.labels[0]
 
     lines: list[str] = []
-
-    def descend(cluster_id: int, prefix: str, connector: str) -> None:
+    # Depth-first with an explicit stack: a chained tree is as deep as
+    # it has leaves.
+    pending = [(count + len(dendrogram.merges) - 1, "", "`--")]
+    while pending:
+        cluster_id, prefix, connector = pending.pop()
         if cluster_id < count:
             lines.append(f"{prefix}{connector} {dendrogram.labels[cluster_id]}")
-            return
+            continue
         merge = dendrogram.merges[cluster_id - count]
         lines.append(
             f"{prefix}{connector} [d={merge.distance:.{precision}f}]"
         )
         child_prefix = prefix + ("   " if connector == "`--" else "|  ")
-        descend(merge.first, child_prefix, "|--")
-        descend(merge.second, child_prefix, "`--")
-
-    root = count + len(dendrogram.merges) - 1
-    descend(root, "", "`--")
+        pending.append((merge.second, child_prefix, "`--"))
+        pending.append((merge.first, child_prefix, "|--"))
     return "\n".join(lines)
 
 

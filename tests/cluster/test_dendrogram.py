@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster.agglomerative import AgglomerativeClustering
 from repro.cluster.dendrogram import Dendrogram, Merge
 from repro.core.partition import Partition
 from repro.exceptions import ClusteringError
@@ -150,6 +151,17 @@ class TestLeafOrderAndCophenetic:
     def test_single_leaf_order(self):
         single = Dendrogram(("x",), ())
         assert single.leaf_order() == ("x",)
+
+    def test_leaf_order_is_first_child_first(self, dendrogram):
+        assert dendrogram.leaf_order() == ("a", "b", "c", "d")
+
+    def test_leaf_order_of_a_1200_level_chain(self):
+        # Growing gaps make single linkage absorb one point per merge,
+        # so the tree is as deep as it has leaves.
+        points = (np.arange(1200.0) ** 1.5)[:, None]
+        chain = AgglomerativeClustering(linkage="single").fit(points)
+        assert chain.merges[-1].size == 1200
+        assert chain.leaf_order() == chain.labels
 
     def test_cophenetic_matrix_values(self, dendrogram):
         matrix = dendrogram.cophenetic_matrix()

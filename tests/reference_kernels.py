@@ -2,10 +2,12 @@
 
 The vectorized kernels in ``repro.som``, ``repro.stats.distance`` and
 ``repro.core`` promise *provable output equivalence* with the scalar
-formulations they replaced.  This module keeps those scalar
+formulations they replaced, and ``repro.cluster`` promises the same
+merges as its full-matrix search.  This module keeps those
 formulations alive — the sequential SOM training loop exactly as it
-existed before vectorization, the per-pair distance loop, and the
-one-replicate-at-a-time bootstrap — so the equivalence tests (and the
+existed before vectorization, the per-pair distance loop, the
+one-replicate-at-a-time bootstrap, and the masked-argmin
+agglomerative loop — so the equivalence tests (and the
 ``bench_hotpaths`` harness, which times old vs. new) can compare
 against them forever.
 
@@ -19,7 +21,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.cluster.dendrogram import Merge
+from repro.cluster.linkage import Linkage, resolve_linkage
 from repro.core.hierarchical import hierarchical_mean
+from repro.exceptions import ClusteringError
 from repro.som.decay import DecaySchedule
 from repro.som.grid import Grid
 from repro.som.initialization import resolve_initializer
@@ -137,3 +142,63 @@ def reference_resampled_speedups(
             mach_mean = mach[mach_draws[index]].mean()
             out[index, column] = ref_mean / mach_mean
     return out
+
+
+def reference_agglomerative_merges(
+    distances: np.ndarray, linkage: str | Linkage
+) -> tuple[Merge, ...]:
+    """Merges of the full-matrix agglomerative search.
+
+    A verbatim transcription of ``AgglomerativeClustering
+    .fit_distance_matrix``'s loop before the cached nearest-neighbour
+    search: every merge masks the whole working matrix to the active
+    clusters and takes one flat ``argmin`` over all n^2 cells, so ties
+    go to the first row, then the first column.  O(n^3) overall.
+    Expects a matrix that already passed the fit's input checks.
+    """
+    linkage = resolve_linkage(linkage)
+    matrix = np.asarray(distances, dtype=float)
+    count = matrix.shape[0]
+    working = matrix.astype(float).copy()
+    np.fill_diagonal(working, np.inf)
+    active = np.ones(count, dtype=bool)
+    cluster_ids = list(range(count))
+    sizes = np.ones(count, dtype=int)
+    merges: list[Merge] = []
+
+    for step in range(count - 1):
+        masked = np.where(active[:, None] & active[None, :], working, np.inf)
+        flat_index = int(np.argmin(masked))
+        p, q = divmod(flat_index, count)
+        if p == q or not np.isfinite(masked[p, q]):
+            raise ClusteringError("fit: no finite pair distance found")
+        if p > q:
+            p, q = q, p
+
+        distance = float(working[p, q])
+        merges.append(
+            Merge(
+                first=cluster_ids[p],
+                second=cluster_ids[q],
+                distance=distance,
+                size=int(sizes[p] + sizes[q]),
+            )
+        )
+
+        others = active.copy()
+        others[p] = False
+        others[q] = False
+        updated = linkage.update(
+            working[p, others],
+            working[q, others],
+            distance,
+            int(sizes[p]),
+            int(sizes[q]),
+            sizes[others],
+        )
+        working[p, others] = updated
+        working[others, p] = updated
+        active[q] = False
+        sizes[p] += sizes[q]
+        cluster_ids[p] = count + step
+    return tuple(merges)

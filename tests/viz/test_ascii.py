@@ -82,6 +82,15 @@ class TestRenderDendrogram:
         single = AgglomerativeClustering().fit([[1.0]], labels=["only"])
         assert render_dendrogram(single) == "only"
 
+    def test_1200_level_chain(self):
+        # Single linkage on growing gaps absorbs one point per merge.
+        points = (np.arange(1200.0) ** 1.5)[:, None]
+        chain = AgglomerativeClustering(linkage="single").fit(points)
+        lines = render_dendrogram(chain).splitlines()
+        assert len(lines) == 2 * 1200 - 1
+        assert lines[0].startswith("`-- [d=")
+        assert lines[-1] == "   `-- point-1199"
+
 
 class TestRenderUMatrix:
     def test_shading_follows_magnitude(self):
