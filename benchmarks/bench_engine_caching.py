@@ -15,11 +15,7 @@ Three comparisons over linkage/SOM parameter sweeps, all archived in
    of forking uselessly: the speedup is pinned ``>= 0.9`` everywhere
    (the old dumb pool scored ~0.25 here) and ``> 1`` is asserted only
    where real cores exist.  A third, fully warm sweep pins the dedup
-   path: zero compute-source stages;
-4. **sharded** — one batch-SOM variant unsharded vs with its BMU
-   search split in two; the merged output must be **bitwise**
-   identical (weights via ``np.array_equal``, exact equality
-   downstream).
+   path: zero compute-source stages.
 
 Prints the wall times and speedups, and archives the structured
 numbers — per-stage timing histograms from the metrics registry, span
@@ -32,12 +28,10 @@ from __future__ import annotations
 import os
 import time
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import emit, write_bench_json
 from repro.analysis.pipeline import WorkloadAnalysisPipeline
-from repro.analysis.shard import run_sharded_analysis
 from repro.analysis.sweep import (
     PipelineVariant,
     plan_pipeline_variants,
@@ -180,21 +174,6 @@ def _timed_fanout_sweeps(suite, base_dir):
     )
 
 
-def _timed_sharded_run(suite):
-    """One batch-SOM variant unsharded vs 2-shard; bitwise comparison."""
-    variant = PipelineVariant(
-        name="batch-complete", linkage="complete", seed=11, som_mode="batch"
-    )
-    started = time.perf_counter()
-    unsharded = variant.pipeline(11, PipelineEngine()).run(suite)
-    unsharded_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    sharded = run_sharded_analysis(variant, suite, shards=2)
-    sharded_seconds = time.perf_counter() - started
-    return unsharded, unsharded_seconds, sharded, sharded_seconds
-
-
 @pytest.mark.benchmark(group="engine")
 def test_engine_caching_speedup(benchmark, paper_suite, tmp_path):
     uncached, cached, info, plain, memoized, tracer, metrics = benchmark.pedantic(
@@ -213,17 +192,6 @@ def test_engine_caching_speedup(benchmark, paper_suite, tmp_path):
         parallel_plan,
         warm_plan,
     ) = _timed_fanout_sweeps(paper_suite, tmp_path)
-    unsharded, unsharded_seconds, sharded, sharded_seconds = _timed_sharded_run(
-        paper_suite
-    )
-    sharded_bitwise = bool(
-        np.array_equal(sharded.result.som.weights, unsharded.som.weights)
-        and sharded.result.positions == unsharded.positions
-        and sharded.result.dendrogram == unsharded.dendrogram
-        and sharded.result.cuts == unsharded.cuts
-        and sharded.result.recommended_clusters
-        == unsharded.recommended_clusters
-    )
     warm_computed_stages = sum(
         1
         for run in warm_runs
@@ -268,14 +236,6 @@ def test_engine_caching_speedup(benchmark, paper_suite, tmp_path):
                 "warm_deduped": len(warm_plan.deduped),
                 "warm_cached": len(warm_plan.cached),
             },
-            "sharded": {
-                "shards": sharded.shards,
-                "workers": sharded.workers,
-                "searches": sharded.searches,
-                "unsharded_seconds": unsharded_seconds,
-                "sharded_seconds": sharded_seconds,
-                "bitwise_identical": sharded_bitwise,
-            },
             "cached_sweep_spans": {
                 "total": sum(1 for _ in tracer.spans()),
                 "stage_spans": sum(
@@ -312,8 +272,6 @@ def test_engine_caching_speedup(benchmark, paper_suite, tmp_path):
                 ),
                 ("fan-out speedup", serial / parallel, "", ""),
                 ("fan-out warm replay", warm_fanout, "", ""),
-                ("sharded SOM (2 shards)", sharded_seconds, "", ""),
-                ("unsharded SOM", unsharded_seconds, "", ""),
             ],
         ),
     )
@@ -389,7 +347,3 @@ def test_engine_caching_speedup(benchmark, paper_suite, tmp_path):
         assert s.result.positions == w.result.positions
         assert s.result.cuts == w.result.cuts
 
-    # Sharded execution is an execution strategy, not a result knob:
-    # the 2-shard run must merge to the unsharded run bit for bit.
-    assert sharded_bitwise
-    assert sharded.searches == sharded.result.som.epochs_trained

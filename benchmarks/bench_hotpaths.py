@@ -24,8 +24,7 @@ side, and archives the numbers in ``results/BENCH_hotpaths.json``:
 A second bench, ``test_som_scaling_reduce_stage``, sweeps the batch
 reduce stage across suite sizes (the paper's 13 workloads up to the
 ROADMAP's 1000) on :func:`repro.synthetic.big_suite` counter matrices,
-timing the exact search against the pruned strategy and the
-epoch-sharded accumulator, and archives
+timing the exact search against the pruned strategy, and archives
 ``results/BENCH_som_scaling.json`` for the ``--som-scaling`` gate in
 ``scripts/check_bench_regression.py``.
 
@@ -44,7 +43,6 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit, write_bench_json
-from repro.analysis.shard import ShardedEpochAccumulator
 from repro.cluster.agglomerative import AgglomerativeClustering
 from repro.core.confidence import _resampled_speedup_matrix
 from repro.core.hierarchical import hierarchical_mean_many
@@ -363,7 +361,6 @@ SOM_SCALING_SHAPES = (
 )
 SOM_SCALING_REPEATS = 1 if SMOKE else 3
 SOM_SCALING_SEED = 20260807
-SOM_SCALING_SHARDS = 2
 
 
 def _standardized_suite(n_workloads: int, n_dims: int) -> np.ndarray:
@@ -411,36 +408,9 @@ def _bench_som_scaling():
         )
         search_stats = som_pruned.bmu_stats
 
-        # Epoch-scope sharding: a fixed shard count must give one
-        # well-defined result no matter where shards run — the pooled
-        # fit must be bitwise identical to the inline one.
-        with ShardedEpochAccumulator(
-            SOM_SCALING_SHARDS, workers=1
-        ) as inline_acc:
-            som_inline = SelfOrganizingMap(config).fit(
-                data, mode="batch", epoch_accumulator=inline_acc
-            )
-        with ShardedEpochAccumulator(
-            SOM_SCALING_SHARDS, workers=SOM_SCALING_SHARDS
-        ) as pooled_acc:
-            sharded_seconds, som_pooled = _best_of(
-                lambda: SelfOrganizingMap(config).fit(
-                    data, mode="batch", epoch_accumulator=pooled_acc
-                ),
-                repeats=1,
-            )
-            pooled = pooled_acc.pooled
-        bitwise = bool(
-            np.array_equal(som_inline.weights, som_pooled.weights)
-        )
-
         assert qe_delta_pct <= 1.0, (
             f"pruned QE drifted {qe_delta_pct:.3f}% at "
             f"{n_workloads}x{n_dims} (tolerance is 1%)"
-        )
-        assert bitwise, (
-            f"pooled epoch sharding diverged from inline at "
-            f"{n_workloads}x{n_dims}"
         )
 
         rows[f"{n_workloads}x{n_dims}"] = {
@@ -448,7 +418,6 @@ def _bench_som_scaling():
             "epochs": som_exact.epochs_trained,
             "exact_seconds": exact_seconds,
             "pruned_seconds": pruned_seconds,
-            "sharded_seconds": sharded_seconds,
             "pruned_speedup": exact_seconds / pruned_seconds,
             "qe_exact": qe_exact,
             "qe_pruned": qe_pruned,
@@ -458,9 +427,6 @@ def _bench_som_scaling():
             "candidates_per_epoch": search_stats["candidates"]
             / max(1, search_stats["calls"]),
             "fallbacks": search_stats["fallbacks"],
-            "shards": SOM_SCALING_SHARDS,
-            "sharded_pooled": bool(pooled),
-            "sharded_bitwise_identical": bitwise,
         }
     return rows
 
@@ -483,12 +449,11 @@ def test_som_scaling_reduce_stage(benchmark):
             f"{stats['pruned_speedup']:.2f}x",
             f"{stats['qe_delta_pct']:.4f}%",
             f"{stats['pruning_rate'] * 100.0:.1f}%",
-            "yes" if stats["sharded_bitwise_identical"] else "NO",
         )
         for shape, stats in payload["shapes"].items()
     ]
     emit(
-        "SOM reduce-stage scaling: exact vs pruned vs sharded "
+        "SOM reduce-stage scaling: exact vs pruned "
         + ("(smoke)" if SMOKE else "(full)"),
         format_table(
             [
@@ -499,7 +464,6 @@ def test_som_scaling_reduce_stage(benchmark):
                 "speedup",
                 "QE delta",
                 "pruned",
-                "sharded bitwise",
             ],
             table_rows,
         ),

@@ -16,17 +16,15 @@ committed baseline.  ``--engine-caching`` gates the scheduler bench:
 the planned fan-out sweep must not be slower than serial beyond
 tolerance (speedup >= 0.9 — the plan -> execute scheduler's whole
 point is that parallelism never loses to serial, even on a 1-CPU
-runner where the planner must pick serial), the warm dedup sweep must
-execute zero compute stages, and the sharded SOM merge must be
-bitwise identical to the unsharded run.  ``--service`` gates the
+runner where the planner must pick serial), and the warm dedup sweep
+must execute zero compute stages.  ``--service`` gates the
 scoring-daemon bench: a warm ``/score`` p50 must stay at least 10x
 faster than one cold ``repro-hmeans pipeline`` CLI invocation at the
 same shape, the warm ``/analyze`` replay must beat the computing
 first pass, and one live ``/events/{run_id}`` SSE subscriber must
 cost the warm ``/score`` p50 at most 10%.  ``--som-scaling`` gates the reduce-stage scaling bench:
 every swept shape must keep its pruned quantization error within 1%
-of exact and its pooled epoch-sharded fit bitwise identical to the
-inline one, and on a full-size run the pruned strategy must be at
+of exact, and on a full-size run the pruned strategy must be at
 least 4x faster than exact at the 1000x64 suite (smoke runs measure
 shapes too small for the speedup claim, so it downgrades to a
 warning there).  ``--ledger`` gates the run
@@ -135,22 +133,6 @@ def check_engine_caching(payload: dict):
         )
     else:
         yield ("ok", "fanout.warm_computed_stages: 0 (warm sweep replays)")
-    sharded = payload.get("sharded")
-    if not isinstance(sharded, dict):
-        yield ("fail", "sharded: section missing from engine-caching payload")
-    elif sharded.get("bitwise_identical") is not True:
-        yield (
-            "fail",
-            f"sharded.bitwise_identical: {sharded.get('bitwise_identical')!r}"
-            " (sharded SOM merge diverged from the unsharded run)",
-        )
-    else:
-        yield (
-            "ok",
-            f"sharded.bitwise_identical: true "
-            f"({sharded.get('shards')} shard(s), "
-            f"{sharded.get('workers')} worker(s))",
-        )
 
 
 def check_service(payload: dict):
@@ -246,9 +228,9 @@ def check_som_scaling(payload: dict):
 
     The speedup gate is the PR-9 acceptance criterion: on a full-size
     run, the pruned BMU strategy must cut the 1000x64 batch fit by at
-    least 4x against the exact single-core search.  Correctness gates
-    (QE within 1% of exact, pooled epoch sharding bitwise identical to
-    inline) apply to every shape at every size, smoke included.
+    least 4x against the exact single-core search.  The correctness
+    gate (QE within 1% of exact) applies to every shape at every size,
+    smoke included.
     """
     smoke = bool(payload.get("smoke"))
     shapes = payload.get("shapes")
@@ -274,20 +256,6 @@ def check_som_scaling(payload: dict):
                 "ok",
                 f"shapes.{shape}.qe_delta_pct: {qe_delta:.4f}% <= "
                 f"{SOM_SCALING_QE_TOLERANCE_PCT}%",
-            )
-        if stats.get("sharded_bitwise_identical") is not True:
-            yield (
-                "fail",
-                f"shapes.{shape}.sharded_bitwise_identical: "
-                f"{stats.get('sharded_bitwise_identical')!r} (pooled "
-                "epoch-sharded fit diverged from the inline one)",
-            )
-        else:
-            yield (
-                "ok",
-                f"shapes.{shape}.sharded_bitwise_identical: true "
-                f"({stats.get('shards')} shard(s), pooled="
-                f"{stats.get('sharded_pooled')})",
             )
     gated = shapes.get(SOM_SCALING_GATED_SHAPE)
     speedup = gated.get("pruned_speedup") if isinstance(gated, dict) else None
@@ -416,8 +384,7 @@ def main(argv=None) -> int:
         "--engine-caching",
         type=Path,
         help="BENCH_engine_caching payload to gate (fan-out speedup >= "
-        f"{FANOUT_MIN_SPEEDUP}, warm sweep computes 0 stages, sharded "
-        "merge bitwise identical)",
+        f"{FANOUT_MIN_SPEEDUP}, warm sweep computes 0 stages)",
     )
     parser.add_argument(
         "--service",
@@ -436,8 +403,8 @@ def main(argv=None) -> int:
         nargs="?",
         const=Path("results/BENCH_som_scaling.json"),
         help="BENCH_som_scaling payload to gate (pruned QE within "
-        f"{SOM_SCALING_QE_TOLERANCE_PCT}% of exact, pooled epoch sharding "
-        f"bitwise identical, pruned >= {SOM_SCALING_MIN_SPEEDUP:.0f}x at "
+        f"{SOM_SCALING_QE_TOLERANCE_PCT}% of exact, "
+        f"pruned >= {SOM_SCALING_MIN_SPEEDUP:.0f}x at "
         f"{SOM_SCALING_GATED_SHAPE} on full-size runs); "
         "default path: results/BENCH_som_scaling.json",
     )

@@ -133,9 +133,7 @@ class WorkloadAnalysisPipeline:
         default each pipeline gets a private engine.
     som_mode:
         SOM training mode: ``"sequential"`` (the paper's algorithm,
-        default) or ``"batch"`` (deterministic Kohonen batch update —
-        the only mode whose BMU search can be sharded; see
-        :mod:`repro.analysis.shard`).
+        default) or ``"batch"`` (deterministic Kohonen batch update).
     som_bmu_strategy:
         Batch-mode BMU search arithmetic: ``"exact"`` (default,
         golden-pinned) or ``"pruned"`` (tolerance-bounded fast path
@@ -310,20 +308,6 @@ class WorkloadAnalysisPipeline:
 
     def run(self, suite: BenchmarkSuite) -> AnalysisResult:
         """Execute the stage graph on the engine and bundle the artifacts."""
-        return self.run_stages(suite, self.stages())
-
-    def run_stages(
-        self, suite: BenchmarkSuite, stages: tuple[Stage, ...]
-    ) -> AnalysisResult:
-        """Execute a (possibly substituted) stage graph on the engine.
-
-        The graph must produce the same artifact names as
-        :meth:`stages` — this hook exists so callers can swap a stage
-        for a result-identical execution strategy (e.g.
-        :mod:`repro.analysis.shard` replacing the reduce stage with a
-        sharded-BMU-search variant) while reusing the coverage checks
-        and result assembly.
-        """
         self._check_speedup_coverage(suite)
         with current_tracer().span(
             "pipeline.run",
@@ -332,7 +316,7 @@ class WorkloadAnalysisPipeline:
             machine=self._machine.name if self._machine else None,
         ):
             engine_run = self._engine.run(
-                stages,
+                self.stages(),
                 {"suite": suite},
                 source_fingerprints={"suite": suite_fingerprint(suite)},
             )

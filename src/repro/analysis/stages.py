@@ -153,7 +153,6 @@ def analysis_stages(
     alignment_group: Sequence[str] | None = None,
     mean: str = "geometric",
     som_mode: str = "sequential",
-    som_bmu_search: Any = None,
     som_bmu_strategy: str = "exact",
 ) -> tuple[Stage, ...]:
     """The six paper stages, wired as one ``suite``-rooted graph.
@@ -176,7 +175,6 @@ def analysis_stages(
         SOMReduceStage(
             som_config,
             mode=som_mode,
-            bmu_search=som_bmu_search,
             bmu_strategy=som_bmu_strategy,
         ),
         ClusterStage(linkage=linkage),

@@ -63,8 +63,7 @@ class PipelineVariant:
     seed; pin it (the CLI pins every variant to its ``--seed``) when
     the sweep should hold the characterization/SOM randomness fixed so
     variants stay comparable.  ``som_mode="batch"`` selects the
-    deterministic batch SOM update (the shardable one; see
-    :mod:`repro.analysis.shard`).
+    deterministic batch SOM update.
     """
 
     name: str

@@ -11,11 +11,8 @@ Installed as ``repro-hmeans``.  Subcommands:
 * ``pipeline`` — the full end-to-end analysis with recommendation
   (``--stats`` prints the engine's per-stage instrumentation;
   ``--cache-dir`` persists stage outputs so re-runs skip them;
-  ``--som-mode batch --shards N`` shards the SOM's BMU search across
-  processes with a bitwise-identical merged result;
-  ``--shard-scope epoch`` widens the sharding to whole epochs —
-  deterministic for a fixed N, pool == inline bitwise;
-  ``--bmu-strategy pruned`` swaps in the tolerance-bounded fast BMU
+  ``--som-mode batch`` trains the SOM with the deterministic batch
+  rule; ``--bmu-strategy pruned`` swaps in the tolerance-bounded fast BMU
   search for large suites, see ``docs/PERFORMANCE.md``).
 * ``sweep`` — re-run the analysis across several linkage rules, with
   unchanged upstream stages computed once and served from cache.
@@ -180,34 +177,7 @@ def _cmd_dendrogram(args: argparse.Namespace) -> str:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> str:
-    suite = BenchmarkSuite.paper_suite()
-    shards = getattr(args, "shards", None)
-    if shards:
-        from repro.analysis.shard import run_sharded_analysis
-        from repro.analysis.sweep import PipelineVariant
-
-        if args.characterization in ("methods", "micro"):
-            characterization, machine = args.characterization, None
-        else:
-            characterization, machine = "sar", args.machine
-        sharded = run_sharded_analysis(
-            PipelineVariant(
-                name="pipeline",
-                characterization=characterization,
-                machine=machine,
-                seed=args.seed,
-                som_mode=getattr(args, "som_mode", "sequential"),
-            ),
-            suite,
-            shards=shards,
-            cache_dir=getattr(args, "cache_dir", None),
-            base_seed=args.seed,
-            scope=getattr(args, "shard_scope", "search"),
-            bmu_strategy=getattr(args, "bmu_strategy", "exact"),
-        )
-        result = sharded.result
-    else:
-        result = _build_pipeline(args).run(suite)
+    result = _build_pipeline(args).run(BenchmarkSuite.paper_suite())
     measured = {
         cut.clusters: (cut.scores["A"], cut.scores["B"]) for cut in result.cuts
     }
@@ -220,20 +190,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> str:
         "",
         f"recommended cluster count: {result.recommended_clusters}",
     ]
-    if shards:
-        if sharded.scope == "epoch":
-            lines.append(
-                f"sharded SOM reduce (epoch scope): {sharded.shards} "
-                f"shard(s) on {sharded.workers} worker(s), "
-                f"{sharded.searches} epoch(s) — merged terms "
-                "deterministic for fixed --shards (pool == inline bitwise)"
-            )
-        else:
-            lines.append(
-                f"sharded SOM reduce: {sharded.shards} shard(s) on "
-                f"{sharded.workers} worker(s), {sharded.searches} BMU "
-                "search(es) — merged output bitwise identical to unsharded"
-            )
     shared = result.shared_cells()
     if shared:
         lines.append("shared SOM cells (particularly similar workloads):")
@@ -828,27 +784,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--som-mode",
                 choices=("sequential", "batch"),
                 default="sequential",
-                help="SOM training mode (batch is deterministic and the "
-                "only shardable one)",
-            )
-            sub.add_argument(
-                "--shards",
-                type=int,
-                default=None,
-                metavar="N",
-                help="shard the batch SOM across N sample ranges on a "
-                "process pool (requires --som-mode batch; see "
-                "--shard-scope for the determinism contract)",
-            )
-            sub.add_argument(
-                "--shard-scope",
-                choices=("search", "epoch"),
-                default="search",
-                help="what --shards splits: 'search' shards only the BMU "
-                "search (merged output bitwise identical to unsharded); "
-                "'epoch' shards the whole epoch including the update sums "
-                "(deterministic for a fixed N, pool == inline bitwise, but "
-                "not bitwise equal to unsharded)",
+                help="SOM training mode (batch is the deterministic "
+                "Kohonen batch rule)",
             )
             sub.add_argument(
                 "--bmu-strategy",

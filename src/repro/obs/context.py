@@ -2,7 +2,7 @@
 
 A :class:`TraceContext` names the causal unit everything else hangs
 off: a 128-bit ``trace_id`` shared by every span the request produces
-(in this process, in fork-pool workers, in sharded SOM epoch tasks),
+(in this process and in fork-pool workers),
 the ``span_id`` of the context's *parent* span (what a child tree
 attaches under when it crosses a process boundary), and a ``sampled``
 flag that lets an upstream caller switch recording off without
@@ -20,8 +20,7 @@ boundary:
   the one it used;
 * fork pools: :meth:`TraceContext.to_payload` rides inside the worker
   payload tuple and is reinstalled with :func:`use_context` before the
-  worker opens its first span (see :mod:`repro.engine.fanout` and
-  :mod:`repro.analysis.shard`);
+  worker opens its first span (see :mod:`repro.engine.fanout`);
 * ledger: :meth:`~repro.obs.ledger.RunRecorder.finish` stamps the
   ambient ``trace_id`` into the run record, which is what lets
   ``obs show <trace-prefix>`` resolve a run by the id a service

@@ -288,49 +288,25 @@ class ServiceRuntime:
         """Run the full characterize→SOM→cluster→score→recommend graph.
 
         Executes on the warm shared engine, so repeated analyses replay
-        memoized stages; ``shards`` routes through the PR-6 sharded BMU
-        search (bitwise-identical merged output).  The returned
-        ``result`` is exactly the archival
-        :func:`~repro.serialization.analysis_result_to_dict` form — the
-        same bytes the serial CLI ``export`` path produces.
+        memoized stages.  The returned ``result`` is exactly the
+        archival :func:`~repro.serialization.analysis_result_to_dict`
+        form — the same bytes the serial CLI ``export`` path produces.
         """
         # Local import: repro.serialization imports the pipeline module,
         # so a top-level import here would be circular via repro.service.
         from repro.serialization import analysis_result_to_dict
 
-        if request.shards:
-            from repro.analysis.shard import run_sharded_analysis
-            from repro.analysis.sweep import PipelineVariant
-
-            sharded = run_sharded_analysis(
-                PipelineVariant(
-                    name="service-analyze",
-                    characterization=request.characterization,
-                    machine=request.machine,
-                    linkage=request.linkage,
-                    cluster_counts=request.cluster_counts,
-                    seed=request.seed,
-                    som_mode=request.som_mode,
-                ),
-                self.suite,
-                shards=request.shards,
-                cache_dir=self.cache_dir,
-                base_seed=request.seed,
-                engine=self.engine,
-            )
-            result = sharded.result
-        else:
-            pipeline = WorkloadAnalysisPipeline(
-                characterization=request.characterization,
-                machine=request.machine,
-                som_config=SOMConfig(rows=8, columns=8, seed=request.seed),
-                cluster_counts=request.cluster_counts,
-                linkage=request.linkage,
-                seed=request.seed,
-                engine=self.engine,
-                som_mode=request.som_mode,
-            )
-            result = pipeline.run(self.suite)
+        pipeline = WorkloadAnalysisPipeline(
+            characterization=request.characterization,
+            machine=request.machine,
+            som_config=SOMConfig(rows=8, columns=8, seed=request.seed),
+            cluster_counts=request.cluster_counts,
+            linkage=request.linkage,
+            seed=request.seed,
+            engine=self.engine,
+            som_mode=request.som_mode,
+        )
+        result = pipeline.run(self.suite)
         report = result.run_report
         payload: dict[str, Any] = {
             "schema": SERVICE_SCHEMA_VERSION,

@@ -36,7 +36,6 @@ _ANALYZE_FIELDS = (
     "seed",
     "linkage",
     "som_mode",
-    "shards",
     "cluster_counts",
     "wait",
 )
@@ -117,10 +116,10 @@ class AnalyzeRequest:
     """A validated ``POST /analyze`` body.
 
     Mirrors the ``repro-hmeans pipeline`` CLI knobs: the same
-    characterization/machine/seed/linkage plus the PR-6 ``som_mode``
-    and ``shards`` controls.  ``wait=False`` turns the request into an
-    async job: the response carries a run id immediately and the
-    result streams through ``GET /runs/{id}`` and the run ledger.
+    characterization/machine/seed/linkage plus ``som_mode``.
+    ``wait=False`` turns the request into an async job: the response
+    carries a run id immediately and the result streams through
+    ``GET /runs/{id}`` and the run ledger.
     """
 
     characterization: str = "sar"
@@ -128,7 +127,6 @@ class AnalyzeRequest:
     seed: int = 11
     linkage: str = "complete"
     som_mode: str = "sequential"
-    shards: int | None = None
     cluster_counts: tuple[int, ...] = tuple(range(2, 9))
     wait: bool = True
 
@@ -145,7 +143,6 @@ class AnalyzeRequest:
             "seed": self.seed,
             "linkage": self.linkage,
             "som_mode": self.som_mode,
-            "shards": self.shards,
             "cluster_counts": list(self.cluster_counts),
         }
 
@@ -265,20 +262,6 @@ def validate_analyze_request(body: Any) -> AnalyzeRequest:
 
     som_mode = _choice(body.get("som_mode", "sequential"), SOM_MODES, "som_mode")
 
-    shards = body.get("shards")
-    if shards is not None:
-        if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
-            raise ValidationError(
-                f"shards: must be a positive integer, got {shards!r}",
-                field="shards",
-            )
-        if som_mode != "batch":
-            raise ValidationError(
-                "shards: requires som_mode='batch' (only the deterministic "
-                "batch update has an order-independent BMU search to shard)",
-                field="shards",
-            )
-
     cluster_counts = body.get("cluster_counts")
     if cluster_counts is None:
         counts = tuple(range(2, 9))
@@ -309,7 +292,6 @@ def validate_analyze_request(body: Any) -> AnalyzeRequest:
         seed=seed,
         linkage=linkage,
         som_mode=som_mode,
-        shards=shards,
         cluster_counts=counts,
         wait=wait,
     )

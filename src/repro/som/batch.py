@@ -1,4 +1,4 @@
-"""Batch-epoch arithmetic, factored for sharding and streaming.
+"""Batch-epoch arithmetic: per-epoch terms, then one apply step.
 
 One Kohonen batch epoch decomposes into *terms* — the influence-
 weighted sample count and sample sum per unit:
@@ -7,35 +7,30 @@ weighted sample count and sample sum per unit:
     numerator[u, :] = sum_s kernel(d2(bmu_s, u), sigma) * x_s
 
 followed by an *apply* step ``w_u = numerator[u] / totals[u]`` for
-every active unit.  The terms are plain sums over samples, so they
-can be computed per shard / per chunk and merged by addition; the
-apply step only ever runs once per epoch on the merged terms.  This
-module holds the three building blocks (:func:`exact_epoch_terms`,
-:func:`merge_epoch_terms`, :func:`apply_epoch_terms`) plus the
-grouped-update fast path the pruned strategy uses.
+every active unit.  Both batch strategies of
+:class:`~repro.som.som.SelfOrganizingMap` run an epoch the same way:
+search the BMUs, compute the terms with :func:`exact_epoch_terms`
+(exact strategy) or a :class:`GroupedEpochTerms` instance (pruned
+strategy), and hand them to :func:`apply_epoch_terms`.
 
-Determinism contract: :func:`exact_epoch_terms` performs the same
-operations in the same order as the historical in-line batch epoch, so
-the single-shard path stays bitwise identical to every golden fixture.
-:func:`merge_epoch_terms` folds partials left-to-right in the order
-given, so a fixed shard count produces one well-defined result no
-matter which worker computed which shard.
+Determinism contract: :func:`exact_epoch_terms` followed by
+:func:`apply_epoch_terms` is the golden-pinned batch epoch — kernel
+gather, ``sum(axis=0)``, ``influence.T @ matrix``, masked divide — so
+every exact batch fit is bitwise identical to the reference loop in
+``tests/reference_kernels.py``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
-
-from repro.som.bmu import bmu_indices
 
 __all__ = [
     "EpochTerms",
     "GroupedEpochTerms",
     "apply_epoch_terms",
     "exact_epoch_terms",
-    "merge_epoch_terms",
 ]
 
 
@@ -53,43 +48,24 @@ def exact_epoch_terms(
     kernel: Callable[[np.ndarray, float], np.ndarray],
     sq_table: np.ndarray,
     sigma: float,
-    bmus: np.ndarray | None = None,
+    bmus: np.ndarray,
 ) -> EpochTerms:
     """Terms of one exact batch epoch over ``matrix``.
 
-    With ``bmus`` omitted the exact search runs in-line.  The op
-    sequence (kernel gather, ``sum(axis=0)``, ``influence.T @ matrix``)
-    is the golden-pinned batch epoch verbatim.
+    ``bmus`` holds each sample's best-matching unit under ``weights``;
+    ``weights`` itself is unused and only keeps the signature shared
+    with :class:`GroupedEpochTerms`.  The op sequence (kernel gather,
+    ``sum(axis=0)``, ``influence.T @ matrix``) is the golden-pinned
+    batch epoch verbatim.
     """
-    if bmus is None:
-        bmus = bmu_indices(matrix, weights)
     influence = kernel(sq_table[bmus], sigma)
     totals = influence.sum(axis=0)
     numerator = influence.T @ matrix
     return EpochTerms(totals, numerator)
 
 
-def merge_epoch_terms(parts: Sequence[EpochTerms]) -> EpochTerms:
-    """Fold partial terms left-to-right, in the order given.
-
-    The fixed fold order is the determinism anchor for epoch-wide
-    sharding: for a given shard count the merged floats are identical
-    whether shards were computed in-line, by a pool, or in any worker
-    placement — floating-point addition is commutative-unsafe only if
-    the *order* changes, and here it never does.
-    """
-    if not parts:
-        raise ValueError("merge_epoch_terms needs at least one partial")
-    totals = parts[0].totals.copy()
-    numerator = parts[0].numerator.copy()
-    for part in parts[1:]:
-        np.add(totals, part.totals, out=totals)
-        np.add(numerator, part.numerator, out=numerator)
-    return EpochTerms(totals, numerator)
-
-
 def apply_epoch_terms(weights: np.ndarray, terms: EpochTerms) -> np.ndarray:
-    """In-place batch update from merged terms (golden-pinned ops)."""
+    """In-place batch update from one epoch's terms (golden-pinned ops)."""
     active = terms.totals > 1e-12
     weights[active] = terms.numerator[active] / terms.totals[active, None]
     return weights
@@ -115,9 +91,8 @@ class GroupedEpochTerms:
     ``(counts | sums)`` matrix is maintained incrementally when fewer
     than ``max(8, S // 8)`` rows moved.  The incremental adds are
     unordered (``np.add.at``), which is fine inside an explicitly
-    tolerance-bounded path — but means instances must not be shared
-    across shards whose merge order is supposed to be fixed; the
-    epoch-sharding machinery gives each shard its own instance.
+    tolerance-bounded path.  An instance carries that state from one
+    epoch to the next, so each fit owns exactly one.
     """
 
     def __init__(self) -> None:

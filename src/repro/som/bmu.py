@@ -1,21 +1,20 @@
-"""Shard-invariant best-matching-unit search.
+"""Row-independent best-matching-unit search.
 
-The BMU search is the only piece of batch SOM training that touches
-the whole sample matrix at once, so it decides whether a *sharded*
-batch epoch (samples split across processes) can reproduce the
-unsharded run bit for bit.  BLAS-backed ``matrix @ weights.T`` cannot
-make that promise: its blocking/threading strategy depends on the
-operand shapes, so the row of a sliced product is not bitwise equal to
-the same row of the full product.
+:func:`bmu_indices` is the exact BMU search of batch training and of
+:meth:`~repro.som.som.SelfOrganizingMap.project`.  It evaluates the
+cross terms with numpy's raw ``c_einsum`` kernel rather than a
+BLAS-backed ``matrix @ weights.T``, whose blocking and threading
+strategy depends on the operand shapes.  The einsum kernel accumulates
+each output element over the feature axis independently of every
+other row, so the result for a sample is a pure function of that
+sample and the weights: a row slice of the matrix gets bitwise the
+same answers as the same rows of a full-matrix call (pinned by
+``tests/som/test_bmu_invariance.py``).
 
-:func:`bmu_indices` therefore evaluates the cross terms with numpy's
-raw ``c_einsum`` kernel, which accumulates each output element over
-the feature axis independently of every other row.  The result for a
-sample is a pure function of that sample and the weights — slicing the
-matrix, computing per shard and concatenating is bitwise identical to
-one full-matrix call.  That row invariance is the foundation the
-sharded executor's determinism rests on; it is pinned by
-``tests/som/test_bmu_invariance.py``.
+The kernel is kept for two reasons.  The golden batch fixtures were
+recorded with it, and the pruned search of :mod:`repro.som.bmu_fast`
+scores its shortlists with the same einsum so its winners match this
+search bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ try:  # Same C kernel as np.einsum, minus the parsing wrapper.
 except ImportError:  # pragma: no cover - other numpy layouts
     _einsum = np.einsum
 
-__all__ = ["bmu_indices", "shard_bounds"]
+__all__ = ["bmu_indices"]
 
 
 def bmu_indices(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -42,21 +41,3 @@ def bmu_indices(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     cross = _einsum("sd,ud->su", matrix, weights)
     return np.argmin(weight_norms[None, :] - 2.0 * cross, axis=1)
 
-
-def shard_bounds(n_samples: int, shards: int) -> list[tuple[int, int]]:
-    """Contiguous ``[start, stop)`` row ranges covering ``n_samples``.
-
-    The first ``n_samples % shards`` shards get one extra row; empty
-    shards are dropped, so fewer bounds than ``shards`` come back when
-    there are more shards than samples.
-    """
-    shards = max(1, int(shards))
-    base, extra = divmod(n_samples, shards)
-    bounds = []
-    start = 0
-    for index in range(shards):
-        stop = start + base + (1 if index < extra else 0)
-        if stop > start:
-            bounds.append((start, stop))
-        start = stop
-    return bounds

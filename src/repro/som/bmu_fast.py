@@ -98,11 +98,11 @@ def bmu_indices_among(
 class PrunedBMUSearch:
     """Batch BMU search with a projected lower-bound pre-filter.
 
-    Drop-in for the ``bmu_search`` hook signature
-    ``search(weights, matrix) -> bmus``.  Stateless across epochs (the
+    Called as ``search(weights, matrix) -> bmus`` once per batch epoch
+    of a ``bmu_strategy="pruned"`` fit.  Stateless across epochs (the
     probe threshold is recomputed from the current weights every call),
-    so results are independent of call history — a property the
-    epoch-sharding machinery relies on for placement invariance.
+    so results are independent of call history; only the per-matrix
+    projection and the statistics counters persist.
 
     Parameters
     ----------
@@ -164,14 +164,6 @@ class PrunedBMUSearch:
             "pruned_pairs": self.pruned_pairs,
             "pruning_rate": self.pruning_rate,
         }
-
-    def absorb_stats(self, stats: Mapping[str, Any]) -> None:
-        """Fold another search's counters in (shard workers report up)."""
-        self.calls += int(stats.get("calls", 0))
-        self.pair_total += int(stats.get("pair_total", 0))
-        self.candidates += int(stats.get("candidates", 0))
-        self.exhaustive += int(stats.get("exhaustive", 0))
-        self.fallbacks += int(stats.get("fallbacks", 0))
 
     # -- per-matrix preparation ----------------------------------------
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import inspect
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -33,11 +33,9 @@ from repro.obs.log import fmt_kv, get_logger
 from repro.obs.metrics import current_metrics
 from repro.obs.trace import current_tracer
 from repro.som.batch import (
-    EpochTerms,
     GroupedEpochTerms,
     apply_epoch_terms,
     exact_epoch_terms,
-    merge_epoch_terms,
 )
 from repro.som.bmu import bmu_indices
 from repro.som.bmu_fast import PrunedBMUSearch
@@ -239,9 +237,7 @@ class SelfOrganizingMap:
         *,
         mode: str = "sequential",
         track_quality_every: int = 0,
-        bmu_search: "Callable[[np.ndarray, np.ndarray], np.ndarray] | None" = None,
         bmu_strategy: str = "exact",
-        epoch_accumulator: "Callable[..., EpochTerms] | None" = None,
     ) -> "SelfOrganizingMap":
         """Train the map on characteristic vectors (samples in rows).
 
@@ -249,13 +245,6 @@ class SelfOrganizingMap:
         per-sample updates); ``mode="batch"`` is the deterministic
         batch rule, useful when bit-for-bit reproducibility across
         sample orderings matters.
-
-        ``bmu_search`` (batch mode only) swaps the per-epoch BMU
-        search for a custom ``search(weights, matrix) -> indices``
-        callable — the hook sharded executors use to fan the search
-        out across processes.  Because the default search is already
-        shard-invariant (:func:`repro.som.bmu.bmu_indices`), any hook
-        built on the same kernel trains bitwise-identical weights.
 
         ``bmu_strategy`` (batch mode only) selects the per-epoch
         search/update arithmetic: ``"exact"`` (default, golden-pinned,
@@ -265,13 +254,6 @@ class SelfOrganizingMap:
         Pruned-fit search statistics land on :attr:`bmu_stats` and the
         ``repro_som_bmu_candidates_total`` /
         ``repro_som_bmu_pruned_total`` metrics.
-
-        ``epoch_accumulator`` (batch mode only) delegates each whole
-        epoch's term computation — search *and* accumulate — to a
-        callable ``acc(weights, matrix, kernel=..., sq_table=...,
-        sigma=...) -> EpochTerms`` (the epoch-wide sharding hook of
-        :class:`repro.analysis.shard.ShardedEpochAccumulator`);
-        mutually exclusive with ``bmu_search``.
 
         ``track_quality_every`` (sequential mode only): when positive,
         record the quantization error every that-many steps into
@@ -292,18 +274,7 @@ class SelfOrganizingMap:
         """
         if track_quality_every < 0:
             raise SOMError("SOM: track_quality_every must be >= 0")
-        if bmu_search is not None and mode != "batch":
-            raise SOMError(
-                "SOM: bmu_search is a batch-mode hook; sequential training "
-                "updates weights after every single draw and cannot delegate "
-                "its search"
-            )
-        self._check_batch_extras(
-            mode,
-            bmu_strategy=bmu_strategy,
-            bmu_search=bmu_search,
-            epoch_accumulator=epoch_accumulator,
-        )
+        self._check_batch_extras(mode, bmu_strategy=bmu_strategy)
         matrix = self._as_data(data)
         tracer = current_tracer()
         started = time.perf_counter()
@@ -328,9 +299,7 @@ class SelfOrganizingMap:
                 self._fit_batch(
                     matrix,
                     track_quality_every=track_quality_every,
-                    bmu_search=bmu_search,
                     bmu_strategy=bmu_strategy,
-                    epoch_accumulator=epoch_accumulator,
                 )
             else:
                 raise SOMError(
@@ -365,180 +334,6 @@ class SelfOrganizingMap:
                 )
             )
         return self
-
-    def initialize(
-        self, data: Sequence[Sequence[float]] | np.ndarray
-    ) -> "SelfOrganizingMap":
-        """Seed the weights from ``data`` without training.
-
-        Runs exactly the initializer :meth:`fit` would run (same seed,
-        same Generator stream), then resets the training counters —
-        so ``som.initialize(matrix)`` followed by streaming epochs via
-        :meth:`partial_fit` starts from the identical state a
-        ``fit(matrix, mode="batch")`` call starts from.
-        """
-        matrix = self._as_data(data)
-        rng = np.random.default_rng(self._config.seed)
-        initializer = resolve_initializer(self._config.initialization)
-        self._weights = initializer(self._grid, matrix, rng).astype(float)
-        self._history = ()
-        self._epochs_trained = 0
-        self._bmu_stats = None
-        return self
-
-    def partial_fit(
-        self,
-        chunks: "np.ndarray | Sequence[Any] | Callable[[], Any]",
-        *,
-        epochs: int = 50,
-        bmu_strategy: str = "exact",
-        chunk_rows: int | None = None,
-    ) -> "SelfOrganizingMap":
-        """Streaming batch training over sample chunks.
-
-        Batch epochs are additive over samples (see
-        :mod:`repro.som.batch`), so a matrix never has to be resident:
-        each epoch folds per-chunk :class:`EpochTerms` together in
-        chunk order and applies the merged update once.  ``chunks``
-        may be
-
-        - a single 2-D array — auto-split into row blocks small enough
-          that the per-chunk influence matrix stays inside the 32MB
-          tiling budget (``chunk_rows`` overrides the block size).  A
-          matrix that already fits is trained as one chunk, in which
-          case the result is **bitwise identical** to
-          ``fit(matrix, mode="batch")``;
-        - a sequence of 2-D arrays (the chunking you chose); or
-        - a zero-argument callable returning a fresh iterable of 2-D
-          arrays — for chunks loaded lazily from disk.  It is called
-          once per epoch and must yield the *same* data every time
-          (epochs iterate over one fixed dataset).
-
-        One-shot iterators are rejected: every epoch needs a full pass.
-
-        Memory bound: beyond the chunk itself, an epoch holds one
-        ``(chunk_rows, n_units)`` float64 influence block (exact
-        strategy), the ``(n_units, dim + 1)`` running terms, and — for
-        ``bmu_strategy="pruned"`` — a per-chunk projection cache of
-        ``O(chunk_rows * (rank + 2))`` float32.  Nothing scales with
-        the total sample count.
-
-        An untrained map is initialized from the full matrix (array
-        input) or the first chunk (sequence/callable input); a trained
-        map continues from its current weights and accumulates
-        ``epochs_trained``, which is what makes this *partial*.
-        """
-        if epochs < 1:
-            raise SOMError("SOM: partial_fit epochs must be >= 1")
-        self._check_batch_extras(
-            "batch",
-            bmu_strategy=bmu_strategy,
-            bmu_search=None,
-            epoch_accumulator=None,
-        )
-        if chunk_rows is not None and chunk_rows < 1:
-            raise SOMError("SOM: chunk_rows must be >= 1")
-        provider = self._chunk_provider(chunks, chunk_rows)
-        first = next(iter(provider()), None)
-        if first is None:
-            raise SOMError("SOM: partial_fit received no chunks")
-        if self._weights is None:
-            if isinstance(chunks, np.ndarray):
-                self.initialize(chunks)
-            else:
-                self.initialize(first)
-        dim = self._weights.shape[1]
-        tracer = current_tracer()
-        started = time.perf_counter()
-        pruned_search: PrunedBMUSearch | None = None
-        grouped: dict[int, GroupedEpochTerms] = {}
-        if bmu_strategy == "pruned":
-            pruned_search = PrunedBMUSearch()
-        denominator = max(epochs - 1, 1)
-        table = self._grid.squared_distance_table
-        with tracer.span(
-            "som.partial_fit",
-            epochs=epochs,
-            bmu_strategy=bmu_strategy,
-            rows=self._grid.rows,
-            columns=self._grid.columns,
-        ):
-            for epoch in range(epochs):
-                sigma = self._sigma(epoch / denominator)
-                parts: list[EpochTerms] = []
-                for index, chunk in enumerate(provider()):
-                    chunk = self._as_data(chunk)
-                    if chunk.shape[1] != dim:
-                        raise SOMError(
-                            f"SOM: chunk {index} has dimension "
-                            f"{chunk.shape[1]}, map expects {dim}"
-                        )
-                    if pruned_search is not None:
-                        bmus = pruned_search(self._weights, chunk)
-                        terms = grouped.setdefault(
-                            index, GroupedEpochTerms()
-                        )(
-                            self._weights,
-                            chunk,
-                            kernel=self._kernel,
-                            sq_table=table,
-                            sigma=sigma,
-                            bmus=bmus,
-                        )
-                    else:
-                        terms = exact_epoch_terms(
-                            self._weights,
-                            chunk,
-                            kernel=self._kernel,
-                            sq_table=table,
-                            sigma=sigma,
-                        )
-                    parts.append(terms)
-                apply_epoch_terms(self._weights, merge_epoch_terms(parts))
-        self._epochs_trained += epochs
-        if pruned_search is not None:
-            self._bmu_stats = pruned_search.stats()
-        metrics = current_metrics()
-        metrics.histogram(
-            "repro_som_fit_seconds", mode="partial_fit"
-        ).observe(time.perf_counter() - started)
-        metrics.counter("repro_som_steps_total", mode="partial_fit").inc(
-            epochs
-        )
-        self._emit_bmu_metrics(metrics)
-        return self
-
-    def _chunk_provider(
-        self,
-        chunks: "np.ndarray | Sequence[Any] | Callable[[], Any]",
-        chunk_rows: int | None,
-    ) -> "Callable[[], Any]":
-        """Normalize partial_fit input to a re-iterable chunk source."""
-        if isinstance(chunks, np.ndarray):
-            matrix = self._as_data(chunks)
-            if chunk_rows is None:
-                # The widest per-chunk allocation is rows x max(dim,
-                # n_units) float64 (the chunk's influence block or the
-                # chunk itself): keep it inside the tiling budget.
-                widest = max(matrix.shape[1], self._grid.num_units, 1)
-                chunk_rows = max(1, _TILE_BUDGET_BYTES // (8 * widest))
-            step = chunk_rows
-            return lambda: (
-                matrix[start : start + step]
-                for start in range(0, matrix.shape[0], step)
-            )
-        if callable(chunks):
-            return chunks
-        if isinstance(chunks, Sequence) and not isinstance(
-            chunks, (str, bytes)
-        ):
-            fixed = list(chunks)
-            return lambda: iter(fixed)
-        raise SOMError(
-            "SOM: partial_fit chunks must be an array, a sequence of "
-            "arrays, or a callable returning one — a one-shot iterator "
-            "cannot be replayed across epochs"
-        )
 
     @property
     def training_history(self) -> tuple[tuple[int, float], ...]:
@@ -775,14 +570,7 @@ class SelfOrganizingMap:
             if track_quality_every and step % track_quality_every == 0:
                 history.append((step, self._quantization_error_of(matrix)))
 
-    def _check_batch_extras(
-        self,
-        mode: str,
-        *,
-        bmu_strategy: str,
-        bmu_search: Any,
-        epoch_accumulator: Any,
-    ) -> None:
+    def _check_batch_extras(self, mode: str, *, bmu_strategy: str) -> None:
         """Validate the batch-only fit extensions before any work."""
         if bmu_strategy not in ("exact", "pruned"):
             raise SOMError(
@@ -795,36 +583,12 @@ class SelfOrganizingMap:
                 "sequential training searches one sample at a time and "
                 "has nothing to prune"
             )
-        if bmu_strategy != "exact" and bmu_search is not None:
-            raise SOMError(
-                "SOM: bmu_search and bmu_strategy='pruned' both replace "
-                "the per-epoch search; pass one or the other"
-            )
-        if epoch_accumulator is not None:
-            if mode != "batch":
-                raise SOMError(
-                    "SOM: epoch_accumulator is a batch-mode hook"
-                )
-            if bmu_search is not None:
-                raise SOMError(
-                    "SOM: epoch_accumulator owns the whole epoch "
-                    "(search and accumulate); it cannot be combined "
-                    "with a bmu_search hook"
-                )
-            acc_strategy = getattr(epoch_accumulator, "bmu_strategy", None)
-            if acc_strategy is not None and acc_strategy != bmu_strategy:
-                raise SOMError(
-                    f"SOM: epoch_accumulator was built for "
-                    f"bmu_strategy={acc_strategy!r} but fit was asked for "
-                    f"{bmu_strategy!r}"
-                )
 
     @property
     def bmu_stats(self) -> "dict[str, Any] | None":
         """Pruned-search statistics of the last fit, or None.
 
-        Populated only by ``bmu_strategy="pruned"`` fits (directly or
-        through an epoch accumulator): calls, candidate/exhaustive
+        Populated only by ``bmu_strategy="pruned"`` fits: calls, candidate/exhaustive
         exact evaluations, pruned pair count and pruning rate — the
         numbers behind the ``repro_som_bmu_*_total`` metrics.
         """
@@ -849,28 +613,21 @@ class SelfOrganizingMap:
         *,
         epochs: int = 50,
         track_quality_every: int = 0,
-        bmu_search: "Callable[[np.ndarray, np.ndarray], np.ndarray] | None" = None,
         bmu_strategy: str = "exact",
-        epoch_accumulator: "Callable[..., EpochTerms] | None" = None,
     ) -> None:
         assert self._weights is not None
         denominator = max(epochs - 1, 1)
         tracer = current_tracer()
         pruned_search: PrunedBMUSearch | None = None
         grouped_terms: GroupedEpochTerms | None = None
-        if bmu_strategy == "pruned" and epoch_accumulator is None:
+        if bmu_strategy == "pruned":
             pruned_search = PrunedBMUSearch()
             grouped_terms = GroupedEpochTerms()
         for epoch in range(epochs):
             if tracer.enabled:
                 with tracer.span("som.epoch", epoch=epoch) as span:
                     self._batch_epoch(
-                        matrix,
-                        epoch / denominator,
-                        bmu_search,
-                        pruned_search=pruned_search,
-                        grouped_terms=grouped_terms,
-                        epoch_accumulator=epoch_accumulator,
+                        matrix, epoch / denominator, pruned_search, grouped_terms
                     )
                     # Opt-in, as in sequential mode: per-epoch quality
                     # costs a full distance pass.
@@ -884,68 +641,42 @@ class SelfOrganizingMap:
                         span.set(quantization_error_skipped=True)
             else:
                 self._batch_epoch(
-                    matrix,
-                    epoch / denominator,
-                    bmu_search,
-                    pruned_search=pruned_search,
-                    grouped_terms=grouped_terms,
-                    epoch_accumulator=epoch_accumulator,
+                    matrix, epoch / denominator, pruned_search, grouped_terms
                 )
         self._epochs_trained = epochs
         if pruned_search is not None:
             self._bmu_stats = pruned_search.stats()
-        elif epoch_accumulator is not None:
-            stats = getattr(epoch_accumulator, "search_stats", None)
-            self._bmu_stats = dict(stats) if stats else None
 
     def _batch_epoch(
         self,
         matrix: np.ndarray,
         progress: float,
-        bmu_search: "Callable[[np.ndarray, np.ndarray], np.ndarray] | None" = None,
-        *,
-        pruned_search: PrunedBMUSearch | None = None,
-        grouped_terms: GroupedEpochTerms | None = None,
-        epoch_accumulator: "Callable[..., EpochTerms] | None" = None,
+        pruned_search: PrunedBMUSearch | None,
+        grouped_terms: GroupedEpochTerms | None,
     ) -> None:
-        """One deterministic Kohonen batch update."""
-        assert self._weights is not None
-        sigma = self._sigma(progress)
-        if epoch_accumulator is not None:
-            terms = epoch_accumulator(
-                self._weights,
-                matrix,
-                kernel=self._kernel,
-                sq_table=self._grid.squared_distance_table,
-                sigma=sigma,
-            )
-            apply_epoch_terms(self._weights, terms)
-            return
+        """One deterministic Kohonen batch update: search, terms, apply.
+
+        The exact strategy is :func:`bmu_indices` then
+        :func:`exact_epoch_terms` (the golden-pinned op sequence); the
+        pruned strategy swaps in the pruned search and the grouped
+        update, both set up by :meth:`_fit_batch`.
+        """
+        weights = self._weights
+        assert weights is not None
         if pruned_search is not None:
-            assert grouped_terms is not None
-            bmus = pruned_search(self._weights, matrix)
-            terms = grouped_terms(
-                self._weights,
-                matrix,
-                kernel=self._kernel,
-                sq_table=self._grid.squared_distance_table,
-                sigma=sigma,
-                bmus=bmus,
-            )
-            apply_epoch_terms(self._weights, terms)
-            return
-        if bmu_search is not None:
-            bmus = np.asarray(bmu_search(self._weights, matrix))
+            bmus = pruned_search(weights, matrix)
         else:
-            bmus = self._bmus_of(matrix)
-        influence = self._kernel(
-            self._grid.squared_distance_table[bmus], sigma
-        )  # shape (n_samples, n_units)
-        totals = influence.sum(axis=0)
-        # Units that no sample influences keep their weights.
-        active = totals > 1e-12
-        numerator = influence.T @ matrix
-        self._weights[active] = numerator[active] / totals[active, None]
+            bmus = bmu_indices(matrix, weights)
+        epoch_terms = exact_epoch_terms if grouped_terms is None else grouped_terms
+        terms = epoch_terms(
+            weights,
+            matrix,
+            kernel=self._kernel,
+            sq_table=self._grid.squared_distance_table,
+            sigma=self._sigma(progress),
+            bmus=bmus,
+        )
+        apply_epoch_terms(weights, terms)
 
     # -- queries ------------------------------------------------------------------
 
@@ -956,10 +687,8 @@ class SelfOrganizingMap:
 
     def _bmus_of(self, matrix: np.ndarray) -> np.ndarray:
         assert self._weights is not None
-        # The shard-invariant einsum search: per-row results do not
-        # depend on which other rows are in the batch, so sharded
-        # training and projection stay bitwise identical to full-matrix
-        # calls (see repro.som.bmu).
+        # The same einsum search batch training uses, so projection
+        # agrees with the BMUs the last epoch saw (see repro.som.bmu).
         return bmu_indices(matrix, self._weights)
 
     def best_matching_unit(self, vector: Sequence[float] | np.ndarray) -> int:

@@ -45,15 +45,11 @@ class SOMReduceStage(Stage):
         config: SOMConfig | None = None,
         *,
         mode: str = "sequential",
-        bmu_search: Any = None,
         bmu_strategy: str = "exact",
-        epoch_accumulator: Any = None,
     ) -> None:
         self._config = config or SOMConfig()
         self._mode = mode
-        self._bmu_search = bmu_search
         self._bmu_strategy = bmu_strategy
-        self._epoch_accumulator = epoch_accumulator
 
     @property
     def config(self) -> SOMConfig:
@@ -74,27 +70,14 @@ class SOMReduceStage(Stage):
     def params(self) -> Mapping[str, Any]:
         """The SOM configuration plus every result-changing knob.
 
-        ``bmu_search`` is deliberately *not* part of the params: it is
-        an execution strategy, not a result knob — any hook must return
-        bitwise the same BMU indices as the built-in search (sharded
-        search does, by the row-slice invariance of the einsum kernel;
-        see ``docs/SCHEDULING.md``), so a sharded and an unsharded run
-        share one cache key and dedup against each other for free.
-
-        ``bmu_strategy`` and ``epoch_shards`` *are* result knobs — the
-        pruned path is tolerance-bounded and the epoch-sharded merge
-        reassociates float addition — but they join the params only
-        when non-default, so every pre-existing exact/unsharded cache
-        key (and golden fixture keyed on it) is byte-for-byte
-        unchanged.
+        ``bmu_strategy`` is a result knob (the pruned path is
+        tolerance-bounded), but it joins the params only when
+        non-default, so every exact-strategy cache key (and golden
+        fixture keyed on it) is byte-for-byte unchanged.
         """
         params: dict[str, Any] = {"config": self._config, "mode": self._mode}
         if self._bmu_strategy != "exact":
             params["bmu_strategy"] = self._bmu_strategy
-        if self._epoch_accumulator is not None:
-            params["epoch_shards"] = int(
-                getattr(self._epoch_accumulator, "shards", 0)
-            )
         return params
 
     def run(self, ctx: RunContext) -> Mapping[str, Any]:
@@ -104,9 +87,7 @@ class SOMReduceStage(Stage):
         som = SelfOrganizingMap(self._config).fit(
             prepared.matrix,
             mode=self._mode,
-            bmu_search=self._bmu_search,
             bmu_strategy=self._bmu_strategy,
-            epoch_accumulator=self._epoch_accumulator,
             track_quality_every=max(1, total_steps // _HISTORY_POINTS),
         )
         projected = som.project(prepared.matrix)

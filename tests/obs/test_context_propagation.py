@@ -1,11 +1,9 @@
 """Trace-context propagation across process boundaries.
 
-Satellite contract of the observability PR: a traced **parallel
-sweep** and a traced **epoch-sharded pipeline** each yield one
-connected span tree per ``trace_id`` — worker subtrees grafted back
-from the fork pool carry the originating request's trace_id, not a
-fresh one — and the resulting ledger record is byte-stable under
-``obs show --json``.
+A traced **parallel sweep** yields one connected span tree per
+``trace_id`` — worker subtrees grafted back from the fork pool carry
+the originating request's trace_id, not a fresh one — and the
+resulting ledger record is byte-stable under ``obs show --json``.
 """
 
 from __future__ import annotations
@@ -15,8 +13,11 @@ import time
 
 import pytest
 
-from repro.analysis.shard import run_sharded_analysis
-from repro.analysis.sweep import PipelineVariant
+from repro.analysis.sweep import (
+    PipelineVariant,
+    plan_pipeline_variants,
+    run_pipeline_variants,
+)
 from repro.engine.fanout import Variant, fork_available, run_many
 from repro.obs import (
     MetricsRegistry,
@@ -94,41 +95,30 @@ class TestSweepPropagation:
             )
         assert {s.trace_id for s in tracer.spans()} == {None}
 
-
-class TestShardedPipelinePropagation:
-    def test_epoch_sharded_run_is_one_tree_per_trace_id(self, suite):
-        tracer, context = Tracer(), new_context()
-        variant = PipelineVariant(
-            name="traced-epoch", som_mode="batch", seed=11
-        )
-        with use_context(context), use_tracer(tracer), use_metrics(
-            MetricsRegistry()
-        ):
-            with tracer.span("analyze.request"):
-                run_sharded_analysis(
-                    variant, suite, shards=2, scope="epoch", workers=2
-                )
-        _assert_one_connected_tree(tracer, context.trace_id)
-        # The pool's per-shard epoch tasks grafted under the epochs.
-        shard_spans = tracer.find("shard.epoch_task")
-        assert shard_spans, "epoch-sharded run recorded no shard spans"
-        for span in shard_spans:
-            assert span.trace_id == context.trace_id
-
     def test_ledger_record_byte_stable_under_obs_show_json(self, suite):
         """The record `obs show --json` prints serializes identically."""
         tracer, context = Tracer(), new_context()
-        variant = PipelineVariant(
-            name="traced-epoch", som_mode="batch", seed=11
-        )
-        recorder = RunRecorder("pipeline", {"shards": 2})
+        variants = [
+            PipelineVariant(
+                name=linkage, linkage=linkage, som_mode="batch", seed=11
+            )
+            for linkage in ("complete", "average")
+        ]
+        # Pin the planner's CPU count so the sweep forks on any host.
+        plan = plan_pipeline_variants(variants, suite, workers=2, cpus=2)
+        recorder = RunRecorder("sweep", {"workers": 2})
         with use_context(context), use_tracer(tracer), use_metrics(
             MetricsRegistry()
         ):
-            with tracer.span("analyze.request"):
-                run_sharded_analysis(
-                    variant, suite, shards=2, scope="epoch", workers=2
-                )
+            with tracer.span("sweep.request"):
+                run_pipeline_variants(variants, suite, workers=2, plan=plan)
+        _assert_one_connected_tree(tracer, context.trace_id)
+        # Both variants ran in pool workers and were grafted back.
+        variant_spans = tracer.find("fanout.variant")
+        assert [s.attributes["mode"] for s in variant_spans] == [
+            "parallel",
+            "parallel",
+        ]
         record = recorder.finish(tracer=tracer, trace_id=context.trace_id)
         assert record["trace_id"] == context.trace_id
         # obs show --json is json.dumps(record, indent=2, sort_keys=True);

@@ -5,7 +5,9 @@ The vectorized kernels in ``repro.som``, ``repro.stats.distance`` and
 formulations they replaced, and ``repro.cluster`` promises the same
 merges as its full-matrix search.  This module keeps those
 formulations alive — the sequential SOM training loop exactly as it
-existed before vectorization, the per-pair distance loop, the
+existed before vectorization, the batch SOM epoch as it was written
+in-line before it was factored into search / terms / apply steps, the
+per-pair distance loop, the
 one-replicate-at-a-time bootstrap, and the masked-argmin
 agglomerative loop — so the equivalence tests (and the
 ``bench_hotpaths`` harness, which times old vs. new) can compare
@@ -65,6 +67,47 @@ def reference_sequential_weights(
         bmu = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
         influence = alpha * kernel(grid.squared_map_distances_from(bmu), sigma)
         weights += influence[:, None] * (sample - weights)
+    return weights
+
+
+def reference_batch_weights(
+    config: SOMConfig,
+    matrix: np.ndarray,
+    *,
+    kernel: NeighborhoodKernel | None = None,
+    epochs: int = 50,
+) -> np.ndarray:
+    """Train in batch mode with the in-line exact epoch loop.
+
+    A transcription of ``SOM._fit_batch`` / ``_batch_epoch`` (exact
+    strategy) as they stood before the epoch was split into
+    ``exact_epoch_terms`` and ``apply_epoch_terms``: einsum BMU search,
+    kernel gather, column sums, ``influence.T @ matrix``, and a masked
+    divide that leaves uninfluenced units alone.  ``kernel`` overrides
+    the configured neighborhood.  Returns the trained weight matrix.
+    """
+    som = SelfOrganizingMap(config)
+    grid: Grid = som.grid
+    kernel = som._kernel if kernel is None else kernel
+    sigma_schedule: DecaySchedule = som._sigma
+
+    matrix = np.asarray(matrix, dtype=float)
+    rng = np.random.default_rng(config.seed)
+    initializer = resolve_initializer(config.initialization)
+    weights = initializer(grid, matrix, rng).astype(float)
+
+    denominator = max(epochs - 1, 1)
+    for epoch in range(epochs):
+        sigma = sigma_schedule(epoch / denominator)
+        weight_norms = np.einsum("ud,ud->u", weights, weights)
+        cross = np.einsum("sd,ud->su", matrix, weights)
+        bmus = np.argmin(weight_norms[None, :] - 2.0 * cross, axis=1)
+        influence = kernel(grid.squared_distance_table[bmus], sigma)
+        totals = influence.sum(axis=0)
+        # Units that no sample influences keep their weights.
+        active = totals > 1e-12
+        numerator = influence.T @ matrix
+        weights[active] = numerator[active] / totals[active, None]
     return weights
 
 

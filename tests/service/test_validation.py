@@ -159,11 +159,12 @@ class TestSchemaValidation:
             ({"seed": True}, "seed"),
             ({"linkage": ""}, "linkage"),
             ({"som_mode": "online"}, "som_mode"),
-            ({"shards": 0}, "shards"),
-            ({"shards": 2}, "shards"),  # sequential mode cannot shard
+            ({"shards": 0}, "shards"),  # not an accepted field
+            ({"shards": 2}, "shards"),
             ({"cluster_counts": []}, "cluster_counts"),
             ({"cluster_counts": [2, 0]}, "cluster_counts"),
             ({"wait": "yes"}, "wait"),
+            ({"som_mode": "batch", "shards": 2}, "shards"),
         ],
     )
     def test_analyze_rejections(self, body, field):

@@ -161,14 +161,6 @@ class TestFallbacks:
         assert result.max() == 0  # ties all resolve to unit 0
         assert search.fallbacks == 1
 
-    def test_stats_absorb(self):
-        first = PrunedBMUSearch()
-        rng = np.random.default_rng(14)
-        first(rng.normal(size=(12, 4)), rng.normal(size=(30, 4)))
-        sink = PrunedBMUSearch()
-        sink.absorb_stats(first.stats())
-        assert sink.stats() == first.stats()
-
 
 class TestPrunedFit:
     @pytest.fixture(scope="class")

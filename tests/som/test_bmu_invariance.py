@@ -1,12 +1,11 @@
-"""The shard-invariance contract of the einsum BMU kernel.
+"""The row-slice invariance contract of the einsum BMU kernel.
 
 ``bmu_indices`` promises that computing BMUs for a row slice of the
 sample matrix gives *bitwise* the same answers as slicing the
-full-matrix result — the property :mod:`repro.analysis.shard` builds
-its deterministic merge on.  These tests pin it (against adversarial
-shard splits and near-tie weight layouts), pin agreement with a
-brute-force nearest-weight scan, and pin the ``shard_bounds``
-partition invariants.
+full-matrix result: each row's answer depends on that row and the
+weights only.  These tests pin it (against adversarial slicings and
+near-tie weight layouts) and pin agreement with a brute-force
+nearest-weight scan.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from repro.som.bmu import bmu_indices, shard_bounds
+from repro.som.bmu import bmu_indices
 
 
 @st.composite
@@ -36,22 +35,22 @@ def matrices_and_weights(draw):
 
 
 class TestRowSliceInvariance:
-    @given(matrices_and_weights(), st.integers(min_value=1, max_value=8))
+    @given(matrices_and_weights(), st.integers(min_value=1, max_value=24))
     @settings(max_examples=60, deadline=None)
-    def test_sharded_equals_unsharded_bitwise(self, data, shards):
-        """Concatenating per-shard BMUs == one full-matrix call, exactly."""
+    def test_row_slices_equal_full_matrix_bitwise(self, data, step):
+        """Concatenating per-slice BMUs == one full-matrix call, exactly."""
         matrix, weights = data
         full = bmu_indices(matrix, weights)
         parts = [
-            bmu_indices(matrix[start:stop], weights)
-            for start, stop in shard_bounds(matrix.shape[0], shards)
+            bmu_indices(matrix[start : start + step], weights)
+            for start in range(0, matrix.shape[0], step)
         ]
         np.testing.assert_array_equal(np.concatenate(parts), full)
 
     @given(matrices_and_weights())
     @settings(max_examples=60, deadline=None)
     def test_single_rows_equal_full_matrix(self, data):
-        """The extreme split — one shard per sample — is still bitwise."""
+        """The extreme split — one slice per sample — is still bitwise."""
         matrix, weights = data
         full = bmu_indices(matrix, weights)
         for row in range(matrix.shape[0]):
@@ -72,10 +71,10 @@ class TestRowSliceInvariance:
             scale=1e-13, size=(64, 6)
         )
         full = bmu_indices(matrix, weights)
-        for shards in (2, 3, 7, 64):
+        for step in (1, 9, 22, 32):
             parts = [
-                bmu_indices(matrix[a:b], weights)
-                for a, b in shard_bounds(64, shards)
+                bmu_indices(matrix[start : start + step], weights)
+                for start in range(0, 64, step)
             ]
             np.testing.assert_array_equal(np.concatenate(parts), full)
 
@@ -89,36 +88,3 @@ class TestRowSliceInvariance:
             distances = np.sum((weights - sample) ** 2, axis=1)
             assert distances[index] == distances.min()
 
-
-class TestShardBounds:
-    @given(
-        st.integers(min_value=0, max_value=500),
-        st.integers(min_value=1, max_value=64),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_bounds_partition_the_range(self, n_samples, shards):
-        """Bounds are contiguous, ordered, non-empty, and cover [0, n)."""
-        bounds = shard_bounds(n_samples, shards)
-        assert len(bounds) <= shards
-        position = 0
-        for start, stop in bounds:
-            assert start == position
-            assert stop > start
-            position = stop
-        assert position == n_samples
-
-    @given(
-        st.integers(min_value=1, max_value=500),
-        st.integers(min_value=1, max_value=64),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_shard_sizes_are_balanced(self, n_samples, shards):
-        """No shard is more than one row bigger than another."""
-        sizes = [stop - start for start, stop in shard_bounds(n_samples, shards)]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_more_shards_than_samples_collapse(self):
-        assert shard_bounds(3, 8) == [(0, 1), (1, 2), (2, 3)]
-
-    def test_zero_samples_yield_no_bounds(self):
-        assert shard_bounds(0, 4) == []

@@ -1,4 +1,4 @@
-"""Bitwise equivalence of the vectorized SOM hot path vs the scalar loop.
+"""Bitwise equivalence of the SOM training paths vs their reference loops.
 
 The vectorized ``_fit_sequential`` (pre-drawn RNG indices, precomputed
 decay schedules, preallocated buffers, inlined Gaussian kernel)
@@ -6,13 +6,17 @@ promises weights **bitwise identical** to the pre-vectorization scalar
 implementation kept in ``tests/reference_kernels.py``.  These tests
 pin that promise across map shapes, topologies, kernels, decay
 families and data dimensions — including the SAR-A production
-configuration the golden fixtures exercise end to end.
+configuration the golden fixtures exercise end to end.  The exact
+batch fit (search, ``exact_epoch_terms``, ``apply_epoch_terms``) is
+pinned the same way against the in-line batch epoch loop.
 """
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.som.decay import (
     ExponentialDecay,
@@ -28,7 +32,10 @@ from repro.som.neighborhood import (
 )
 from repro.som.som import SOMConfig, SelfOrganizingMap
 
-from tests.reference_kernels import reference_sequential_weights
+from tests.reference_kernels import (
+    reference_batch_weights,
+    reference_sequential_weights,
+)
 
 
 def _data(shape: tuple[int, int], seed: int) -> np.ndarray:
@@ -114,6 +121,44 @@ class TestSequentialBitwiseEquivalence:
         # A handwritten Gaussian without out= lands on the generic
         # path yet trains to the exact same weights.
         assert np.array_equal(som.weights, gaussian.weights)
+
+
+class WideGaussian(GaussianNeighborhood):
+    """A user-defined kernel: the paper's Gaussian at 1.5x the radius."""
+
+    def __call__(self, squared_distances, sigma, out=None):
+        return super().__call__(squared_distances, 1.5 * sigma, out=out)
+
+
+class TestBatchBitwiseEquivalence:
+    @given(
+        samples=st.integers(min_value=2, max_value=20),
+        dim=st.integers(min_value=2, max_value=8),
+        rows=st.integers(min_value=2, max_value=6),
+        columns=st.integers(min_value=2, max_value=6),
+        topology=st.sampled_from(["rectangular", "hexagonal"]),
+        neighborhood=st.sampled_from(["gaussian", "bubble", "subclass"]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weights_bitwise_equal_inline_epoch(
+        self, samples, dim, rows, columns, topology, neighborhood, seed
+    ):
+        config = SOMConfig(
+            rows=rows,
+            columns=columns,
+            topology=topology,
+            neighborhood="gaussian" if neighborhood == "subclass" else neighborhood,
+            seed=seed,
+        )
+        data = _data((samples, dim), seed=seed)
+        kernel = WideGaussian() if neighborhood == "subclass" else None
+        som = SelfOrganizingMap(config)
+        if kernel is not None:
+            som._kernel = kernel
+        trained = som.fit(data, mode="batch").weights
+        reference = reference_batch_weights(config, data, kernel=kernel)
+        assert np.array_equal(trained, reference)
 
 
 class TestBatchFancyIndexEquivalence:

@@ -132,15 +132,33 @@ class TestSweepPlanFlags:
         assert "disk 6/6" in output
 
 
-class TestShardedPipelineFlags:
-    def test_sharded_batch_pipeline_runs(self, capsys):
-        assert (
-            main(["pipeline", "--som-mode", "batch", "--shards", "2"]) == 0
-        )
-        output = capsys.readouterr().out
-        assert "sharded SOM reduce: 2 shard(s)" in output
-        assert "recommended cluster count" in output
+class TestBatchPipelineFlags:
+    @pytest.fixture(scope="class")
+    def library_result(self):
+        from repro.analysis.pipeline import WorkloadAnalysisPipeline
+        from repro.workloads.suite import BenchmarkSuite
 
-    def test_shards_require_batch_mode(self, capsys):
-        assert main(["pipeline", "--shards", "2"]) == 1
+        return WorkloadAnalysisPipeline(
+            characterization="sar", machine="A", seed=11, som_mode="batch"
+        ).run(BenchmarkSuite.paper_suite())
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--bmu-strategy", "pruned"]], ids=["exact", "pruned"]
+    )
+    def test_batch_pipeline_matches_library(self, capsys, library_result, extra):
+        assert main(["pipeline", "--som-mode", "batch", *extra]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected = library_result.recommended_clusters
+        assert f"recommended cluster count: {expected}" in lines
+        for cut in library_result.cuts:
+            row = next(
+                line for line in lines if line.startswith(f"{cut.clusters} Clusters ")
+            )
+            assert row.split()[2:4] == [
+                f"{cut.scores['A']:.2f}",
+                f"{cut.scores['B']:.2f}",
+            ]
+
+    def test_pruned_strategy_requires_batch_mode(self, capsys):
+        assert main(["pipeline", "--bmu-strategy", "pruned"]) == 1
         assert "batch" in capsys.readouterr().err
