@@ -126,8 +126,8 @@ _FANOUT_WORKERS = 4
 def _timed_fanout_sweeps(suite, base_dir):
     """Serial vs planned-4-workers vs fully-warm, each timed.
 
-    The 4-worker request goes through the planner: multi-core hosts
-    fork, a single-CPU host is clamped to a serial plan (the whole
+    The 4-worker request goes through the planner, which keeps this
+    shared-upstream sweep serial whatever the CPU count (the whole
     point — the old pool forked anyway and paid 4x for it).  The warm
     sweep re-runs over the serial sweep's populated cache, where the
     plan predicts every variant as a replay.
@@ -325,15 +325,13 @@ def test_engine_caching_speedup(benchmark, paper_suite, tmp_path):
         assert s.result.cuts == p.result.cuts
         assert s.result.recommended_clusters == p.result.recommended_clusters
 
-    # The scheduling win: a 4-worker request on a single CPU plans
-    # serial instead of forking, so the "parallel" sweep is never
-    # meaningfully slower than serial (the old dumb pool scored ~0.25
-    # here); with real cores the plan forks and must actually win.
-    if available_cpus() > 1:
-        assert parallel_plan.mode == "parallel"
-        assert parallel < serial
-    else:
-        assert parallel_plan.mode == "serial"
+    # The scheduling verdict: the linkage variants share characterize,
+    # preprocess and reduce, which a serial run computes once and every
+    # pool worker would compute again, so the 4-worker request plans
+    # serial on any CPU count and the "planned" sweep is never
+    # meaningfully slower than serial (the old dumb pool scored ~0.25,
+    # the old per-variant cost model's fork 0.45 on two CPUs).
+    assert parallel_plan.mode == "serial"
     assert serial / parallel >= 0.9
 
     # The dedup path: over a fully warm cache the plan marks every

@@ -232,13 +232,13 @@ def _som_stats_line(result) -> str | None:
     internals (epochs, quality trajectory endpoints) so that cost is
     no longer a black box in run reports.
     """
-    from repro.som.quality import quantization_error, topographic_error
+    from repro.som.quality import map_quality
 
     som, prepared = result.som, result.prepared_vectors
     if som is None or prepared is None or not som.is_trained:
         return None
-    qe = quantization_error(som, prepared.matrix)
-    te = topographic_error(som, prepared.matrix)
+    quality = map_quality(som, prepared.matrix)
+    qe, te = quality.quantization_error, quality.topographic_error
     history = som.training_history
     trajectory = (
         f", QE trajectory {history[0][1]:.3f} -> {history[-1][1]:.3f} "

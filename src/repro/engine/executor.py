@@ -35,7 +35,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.engine.diskcache import DiskCache, DiskCacheInfo
 from repro.engine.fingerprint import combine, fingerprint
 from repro.engine.stage import RunContext, Stage
-from repro.engine.store import ArtifactStore, CacheInfo, StageCache
+from repro.engine.store import ArtifactSizes, ArtifactStore, CacheInfo, StageCache
 from repro.exceptions import EngineError
 from repro.obs.ledger import current_recorder
 from repro.obs.log import fmt_kv, get_logger
@@ -62,7 +62,9 @@ class StageStats:
 
     ``cache_source`` says where the outputs came from: ``"memory"``
     (in-process memo), ``"disk"`` (persistent cache) or ``"compute"``
-    (the stage actually ran).
+    (the stage actually ran).  ``artifact_sizes`` is a read-only
+    :class:`~repro.engine.store.ArtifactSizes` view: each output is
+    sized on first read, so runs that never report sizes skip it.
     """
 
     stage: str
@@ -311,12 +313,10 @@ class PipelineEngine:
         # no-op span falls back to the inline clock.
         wall = span.duration_seconds if getattr(span, "finished", False) else elapsed
 
-        sizes = {}
-        for name in stage.outputs:
-            artifact = store.put(
-                name, outputs[name], combine(key, name), producer=stage.name
-            )
-            sizes[name] = artifact.size_bytes
+        sizes = ArtifactSizes(
+            store.put(name, outputs[name], combine(key, name), producer=stage.name)
+            for name in stage.outputs
+        )
         stats = StageStats(
             stage=stage.name,
             key=key,

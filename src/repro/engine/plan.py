@@ -20,6 +20,14 @@ thinking half of the fix, a two-phase split mirrored by
   parallel decision from :func:`~repro.engine.hostinfo.available_cpus`
   plus the cost model.
 
+Both estimates price what an engine really computes.  A serial run
+uses one engine, so a stage key shared by several variants (the
+characterize, preprocess and reduce stages of a linkage sweep) is
+priced once.  A parallel run gives each worker its own engine and
+hands variants out in turn, so each worker is charged every distinct
+key its share needs, shared stages included, and the busiest worker
+sets the estimate.
+
 Plans are pure data: building one executes nothing, which is what
 makes ``repro-hmeans sweep --dry-run`` free.
 """
@@ -75,6 +83,23 @@ WORKER_SPAWN_SECONDS = 0.15
 
 # Shipping one variant's params in and its pickled result out.
 VARIANT_IPC_SECONDS = 0.05
+
+
+def _engine_seconds(variants: Sequence["VariantPlan"]) -> float:
+    """Predicted compute seconds for ``variants`` run on one engine.
+
+    One engine computes a stage key once and replays it from its memo
+    for every later variant that shares it, so each distinct key is
+    priced once.  Opaque variants (no stage keys) are priced whole.
+    """
+    priced: dict[str, float] = {}
+    opaque = 0.0
+    for variant in variants:
+        if not variant.stages:
+            opaque += variant.est_seconds
+        for stage in variant.stages:
+            priced.setdefault(stage.key, stage.est_seconds)
+    return opaque + sum(priced.values())
 
 
 class StageCostModel:
@@ -375,8 +400,7 @@ class SweepPlanner:
         replay_cost = CACHE_HIT_SECONDS * sum(
             len(v.stages) or 1 for v in variants if not v.pool_eligible
         )
-        compute_cost = sum(v.est_seconds for v in pool)
-        est_serial = compute_cost + replay_cost
+        est_serial = _engine_seconds(pool) + replay_cost
 
         if policy == "explicit":
             chosen = min(workers or 1, len(variants))
@@ -385,7 +409,7 @@ class SweepPlanner:
             chosen, clamp_reason = self._choose_workers(workers, len(pool))
         est_parallel = (
             self._spawn * chosen
-            + (compute_cost / chosen if chosen else 0.0)
+            + max(_engine_seconds(pool[i::chosen]) for i in range(chosen))
             + self._ipc * len(pool)
             + replay_cost
         )

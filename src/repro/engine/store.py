@@ -4,7 +4,8 @@ Two separate concerns live here:
 
 * :class:`ArtifactStore` — the *per-run* namespace of named
   intermediate products (characteristic vectors, SOM, dendrogram, ...)
-  with their fingerprints and approximate sizes;
+  with their fingerprints and approximate sizes (measured on first
+  read);
 * :class:`StageCache` — the *cross-run* memo of stage outputs keyed by
   the stage's cache key, with LRU eviction and hit/miss accounting.
 
@@ -19,13 +20,21 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Mapping
+from functools import cached_property
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from repro.exceptions import EngineError
 
-__all__ = ["Artifact", "ArtifactStore", "CacheInfo", "StageCache", "approx_size"]
+__all__ = [
+    "Artifact",
+    "ArtifactSizes",
+    "ArtifactStore",
+    "CacheInfo",
+    "StageCache",
+    "approx_size",
+]
 
 
 def _flat_size(value: Any, *, max_nodes: int = 4096) -> int:
@@ -58,9 +67,29 @@ def _flat_size(value: Any, *, max_nodes: int = 4096) -> int:
             stack.extend(node)
         else:
             inner = getattr(node, "__dict__", None)
-            if isinstance(inner, dict) and inner:
-                stack.append(inner)
+            if (
+                isinstance(inner, dict)
+                and inner
+                and id(inner) not in seen
+                and len(seen) < max_nodes
+            ):
+                seen.add(id(inner))
+                total += _instance_dict_size(inner)
+                stack.extend(inner.keys())
+                stack.extend(inner.values())
     return total
+
+
+def _instance_dict_size(inner: dict[str, Any]) -> int:
+    """``getsizeof`` of an instance's attribute dict, standing alone.
+
+    CPython shares one key table among the attribute dicts of a
+    class's instances and splits its size among them, so
+    ``getsizeof(obj.__dict__)`` shrinks as sibling instances appear.
+    A plain copy has its own key table: the same size whenever it is
+    read, which lets sizes be measured lazily.
+    """
+    return sys.getsizeof(dict(inner), 64)
 
 
 def approx_size(value: Any, *, _depth: int = 0) -> int:
@@ -87,19 +116,59 @@ def approx_size(value: Any, *, _depth: int = 0) -> int:
         )
     inner = getattr(value, "__dict__", None)
     if isinstance(inner, dict) and inner and _depth < 2:
-        return sys.getsizeof(value, 64) + approx_size(inner, _depth=_depth + 1)
+        # Sized as a stand-alone copy; see _instance_dict_size.
+        return sys.getsizeof(value, 64) + approx_size(dict(inner), _depth=_depth + 1)
     return sys.getsizeof(value, 64)
 
 
 @dataclass(frozen=True)
 class Artifact:
-    """One named intermediate product of a run."""
+    """One named intermediate product of a run.
+
+    ``size_bytes`` is :func:`approx_size` of the value, computed on
+    first read and then cached: a run that never reports sizes never
+    walks its artifacts.
+    """
 
     name: str
     value: Any
     fingerprint: str
     producer: str
-    size_bytes: int
+
+    @cached_property
+    def size_bytes(self) -> int:
+        """Approximate in-memory footprint of :attr:`value`, in bytes."""
+        return approx_size(self.value)
+
+
+class ArtifactSizes(Mapping[str, int]):
+    """Read-only ``name -> size_bytes`` view over some artifacts.
+
+    Sizes are read from the artifacts (so computed lazily, once each).
+    Pickling ships a plain dict of the sizes: they are measured in the
+    process that built the values, so a pool worker's report carries
+    the same numbers a serial run's does.
+    """
+
+    __slots__ = ("_artifacts",)
+
+    def __init__(self, artifacts: Iterable[Artifact]) -> None:
+        self._artifacts = {artifact.name: artifact for artifact in artifacts}
+
+    def __getitem__(self, name: str) -> int:
+        return self._artifacts[name].size_bytes
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._artifacts)
+
+    def __len__(self) -> int:
+        return len(self._artifacts)
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return (dict, (dict(self),))
+
+    def __repr__(self) -> str:
+        return f"ArtifactSizes({sorted(self._artifacts)})"
 
 
 class ArtifactStore:
@@ -127,7 +196,6 @@ class ArtifactStore:
             value=value,
             fingerprint=fingerprint,
             producer=producer,
-            size_bytes=approx_size(value),
         )
         self._artifacts[name] = artifact
         return artifact

@@ -26,18 +26,26 @@ try:  # Same C kernel as np.einsum, minus the parsing wrapper.
 except ImportError:  # pragma: no cover - other numpy layouts
     _einsum = np.einsum
 
-__all__ = ["bmu_indices"]
+__all__ = ["bmu_indices", "bmu_scores"]
 
 
-def bmu_indices(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-sample index of the nearest weight vector, shape ``(n,)``.
+def bmu_scores(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-sample unit scores, shape ``(n, units)``; lower is nearer.
 
     Squared distances via the expansion trick
     ``||w||^2 - 2 <x, w>`` (the ``||x||^2`` term is constant per row
-    and cannot change the argmin), with both reductions computed by
-    einsum so every output row is independent of the others.
+    and cannot change any ranking), with both reductions computed by
+    einsum so every output row is independent of the others.  The
+    quality gauges of :mod:`repro.som.quality` rank the same matrix,
+    so their best units are bitwise the ones :func:`bmu_indices`
+    returns.
     """
     weight_norms = _einsum("ud,ud->u", weights, weights)
     cross = _einsum("sd,ud->su", matrix, weights)
-    return np.argmin(weight_norms[None, :] - 2.0 * cross, axis=1)
+    return weight_norms[None, :] - 2.0 * cross
+
+
+def bmu_indices(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-sample index of the nearest weight vector, shape ``(n,)``."""
+    return np.argmin(bmu_scores(matrix, weights), axis=1)
 

@@ -170,8 +170,30 @@ class Grid:
         self._check_unit(second)
         if first == second:
             return False
+        return bool(self._sq_distances[first, second] <= self._neighbor_limit())
+
+    def lattice_neighbor_mask(
+        self, first: np.ndarray, second: np.ndarray
+    ) -> np.ndarray:
+        """Element-wise :meth:`are_lattice_neighbors` over index arrays.
+
+        One fancy-indexed lookup into :attr:`squared_distance_table`
+        with the same threshold, for the vectorized topographic error.
+        """
+        first = np.asarray(first, dtype=np.intp)
+        second = np.asarray(second, dtype=np.intp)
+        for units in (first, second):
+            if units.size:
+                self._check_unit(int(units.min()))
+                self._check_unit(int(units.max()))
+        return (first != second) & (
+            self._sq_distances[first, second] <= self._neighbor_limit()
+        )
+
+    def _neighbor_limit(self) -> float:
+        """Largest squared map distance between adjacent units."""
         threshold = 1.0 if self._topology == "hexagonal" else np.sqrt(2.0)
-        return bool(self._sq_distances[first, second] <= threshold**2 + 1e-9)
+        return threshold**2 + 1e-9
 
     def _check_unit(self, unit: int) -> None:
         if not (0 <= unit < self.num_units):

@@ -386,9 +386,20 @@ class SelfOrganizingMap:
             raise SOMError(f"SOM.from_state: malformed state ({error!r})") from None
         return som
 
-    def _quantization_error_of(self, matrix: np.ndarray) -> float:
+    def _quantization_error_of(
+        self, matrix: np.ndarray, bmus: np.ndarray | None = None
+    ) -> float:
+        """Mean distance from each row to its BMU weight vector.
+
+        The one quantization error of the repo: training history, the
+        ``som.fit`` span's ``final_quantization_error`` and
+        :func:`repro.som.quality.quantization_error` all come from
+        here.  ``bmus`` lets a caller that already ranked the units
+        (the reduce stage) skip the search.
+        """
         assert self._weights is not None
-        bmus = self._bmus_of(matrix)
+        if bmus is None:
+            bmus = self._bmus_of(matrix)
         return float(
             np.mean(
                 np.linalg.norm(matrix - self._weights[bmus], axis=1)
@@ -706,15 +717,26 @@ class SelfOrganizingMap:
     def second_best_matching_unit(
         self, vector: Sequence[float] | np.ndarray
     ) -> int:
-        """Index of the second-nearest unit (for topographic error)."""
+        """Index of the nearest unit other than the BMU.
+
+        Ties go to the lowest index, as for the BMU itself, so when
+        the two nearest units tie the BMU is the lower index and this
+        is the other one (never the BMU again).
+        """
         self._require_trained()
         sample = self._as_data(vector)[0]
         assert self._weights is not None
+        if self._weights.shape[0] < 2:
+            raise SOMError("SOM: map has a single unit; no second BMU exists")
+        if sample.size != self._weights.shape[1]:
+            raise SOMError(
+                f"SOM: vector has dimension {sample.size}, map expects "
+                f"{self._weights.shape[1]}"
+            )
         diff = self._weights - sample
         distances = np.einsum("ij,ij->i", diff, diff)
-        if distances.size < 2:
-            raise SOMError("SOM: map has a single unit; no second BMU exists")
-        return int(np.argsort(distances)[1])
+        distances[np.argmin(distances)] = np.inf
+        return int(np.argmin(distances))
 
     def project(
         self, data: Sequence[Sequence[float]] | np.ndarray

@@ -11,18 +11,23 @@ most heavily instrumented one: it asks the map to record its
 quantization-error trajectory (surfaced as ``qe`` events on the
 ``som.fit`` tracing span and via ``SelfOrganizingMap.training_history``)
 and publishes the final quantization/topographic errors as gauges in
-the ambient metrics registry.
+the ambient metrics registry.  Positions and both gauges come from one
+BMU score pass (:func:`repro.som.quality.map_quality`); the
+quantization-error gauge is bitwise the span's
+``final_quantization_error``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.characterization.base import CharacteristicVectors
 from repro.engine.stage import RunContext, Stage
 from repro.obs.log import fmt_kv, get_logger
 from repro.obs.metrics import current_metrics
-from repro.som.quality import quantization_error, topographic_error
+from repro.som.quality import map_quality
 from repro.som.som import SelfOrganizingMap, SOMConfig
 
 __all__ = ["SOMReduceStage"]
@@ -90,14 +95,17 @@ class SOMReduceStage(Stage):
             bmu_strategy=self._bmu_strategy,
             track_quality_every=max(1, total_steps // _HISTORY_POINTS),
         )
-        projected = som.project(prepared.matrix)
+        # One score pass gives the cells project() would return plus
+        # both quality gauges.
+        quality = map_quality(som, prepared.matrix)
+        rows, cols = np.divmod(quality.bmus, som.grid.columns)
         positions = {
             label: (int(row), int(col))
-            for label, (row, col) in zip(prepared.labels, projected)
+            for label, row, col in zip(prepared.labels, rows, cols)
         }
 
-        qe = quantization_error(som, prepared.matrix)
-        te = topographic_error(som, prepared.matrix)
+        qe = quality.quantization_error
+        te = quality.topographic_error
         metrics = current_metrics()
         metrics.gauge("repro_som_quantization_error").set(qe)
         metrics.gauge("repro_som_topographic_error").set(te)

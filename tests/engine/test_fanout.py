@@ -175,7 +175,11 @@ class TestPipelineSweeps:
     def test_parallel_sweep_bitwise_matches_serial(
         self, linkage_variants, paper_suite, tmp_path
     ):
-        from repro.analysis.sweep import run_pipeline_variants
+        from repro.analysis.sweep import (
+            plan_pipeline_variants,
+            run_pipeline_variants,
+        )
+        from repro.engine.plan import StageCostModel
 
         serial = run_pipeline_variants(
             linkage_variants,
@@ -183,12 +187,25 @@ class TestPipelineSweeps:
             workers=1,
             cache_dir=tmp_path / "serial",
         )
-        parallel = run_pipeline_variants(
+        # A linkage sweep shares its upstream stages, so the planner
+        # runs it serially; pricing the per-variant stage above the
+        # fork overhead makes it fork.
+        plan = plan_pipeline_variants(
             linkage_variants,
             paper_suite,
             workers=2,
             cache_dir=tmp_path / "parallel",
+            cost_model=StageCostModel(measured={"cluster": 30.0}),
+            cpus=2,
         )
+        assert plan.mode == "parallel"
+        parallel = run_pipeline_variants(
+            linkage_variants,
+            paper_suite,
+            cache_dir=tmp_path / "parallel",
+            plan=plan,
+        )
+        assert all(run.worker_pid != os.getpid() for run in parallel)
         for s, p in zip(serial, parallel):
             assert s.seed == p.seed
             a, b = s.result, p.result
@@ -200,8 +217,10 @@ class TestPipelineSweeps:
             assert a.dendrogram == b.dendrogram
             assert a.cuts == b.cuts
             assert a.recommended_clusters == b.recommended_clusters
-            assert [st.stage for st in a.run_report.stages] == [
-                st.stage for st in b.run_report.stages
+            # Lazily measured sizes: a worker's report carries the
+            # byte totals a serial run reports.
+            assert [(st.stage, st.total_bytes) for st in a.run_report.stages] == [
+                (st.stage, st.total_bytes) for st in b.run_report.stages
             ]
 
     def test_warm_parallel_sweep_computes_nothing(

@@ -244,6 +244,53 @@ class TestWorkerChoice:
             planner.plan([PlanEntry(name="v", seed=1)], workers="turbo")
 
 
+def _linkage_sweep(count):
+    """Entries sharing upstream keys, each with its own cluster key."""
+    shared = {
+        stage: fingerprint(stage) for stage in ("characterize", "preprocess", "reduce")
+    }
+    return _entries(
+        {
+            f"v{i}": (i, {**shared, "cluster": fingerprint(("cluster", i))})
+            for i in range(count)
+        }
+    )
+
+
+class TestSharedStagePricing:
+    def test_serial_prices_each_distinct_key_once(self):
+        plan = SweepPlanner(cpus=1).plan(_linkage_sweep(5))
+        costs = DEFAULT_STAGE_COSTS
+        shared = costs["characterize"] + costs["preprocess"] + costs["reduce"]
+        assert plan.est_serial_seconds == pytest.approx(
+            shared + 5 * costs["cluster"]
+        )
+
+    def test_linkage_sweep_stays_serial_on_many_cpus(self):
+        """Every worker would retrain the shared SOM: forking loses."""
+        plan = SweepPlanner(cpus=8).plan(_linkage_sweep(5), workers=4)
+        assert plan.mode == "serial"
+        assert plan.workers == 1
+        assert plan.est_parallel_seconds > plan.est_serial_seconds
+
+    def test_each_worker_is_charged_the_shared_stages(self):
+        planner = SweepPlanner(
+            cost_model=StageCostModel(measured={"cluster": 30.0}),
+            cpus=2,
+            spawn_seconds=0.5,
+            ipc_seconds=0.25,
+        )
+        plan = planner.plan(_linkage_sweep(5))
+        costs = DEFAULT_STAGE_COSTS
+        shared = costs["characterize"] + costs["preprocess"] + costs["reduce"]
+        assert plan.mode == "parallel"
+        assert plan.workers == 2
+        # Round-robin shares of 3 and 2 variants; the busier one sets it.
+        assert plan.est_parallel_seconds == pytest.approx(
+            2 * 0.5 + shared + 3 * 30.0 + 5 * 0.25
+        )
+
+
 class TestCachePrediction:
     def test_warm_cache_marks_variants_for_replay(self, tmp_path):
         cache = DiskCache(tmp_path)

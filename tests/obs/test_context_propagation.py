@@ -19,6 +19,7 @@ from repro.analysis.sweep import (
     run_pipeline_variants,
 )
 from repro.engine.fanout import Variant, fork_available, run_many
+from repro.engine.plan import StageCostModel
 from repro.obs import (
     MetricsRegistry,
     RunRecorder,
@@ -104,8 +105,16 @@ class TestSweepPropagation:
             )
             for linkage in ("complete", "average")
         ]
-        # Pin the planner's CPU count so the sweep forks on any host.
-        plan = plan_pipeline_variants(variants, suite, workers=2, cpus=2)
+        # Pin the planner's CPU count, and price the per-variant stage
+        # above the fork overhead, so the sweep forks on any host.
+        plan = plan_pipeline_variants(
+            variants,
+            suite,
+            workers=2,
+            cpus=2,
+            cost_model=StageCostModel(measured={"cluster": 30.0}),
+        )
+        assert plan.mode == "parallel"
         recorder = RunRecorder("sweep", {"workers": 2})
         with use_context(context), use_tracer(tracer), use_metrics(
             MetricsRegistry()

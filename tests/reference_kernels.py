@@ -8,8 +8,9 @@ formulations alive — the sequential SOM training loop exactly as it
 existed before vectorization, the batch SOM epoch as it was written
 in-line before it was factored into search / terms / apply steps, the
 per-pair distance loop, the
-one-replicate-at-a-time bootstrap, and the masked-argmin
-agglomerative loop — so the equivalence tests (and the
+one-replicate-at-a-time bootstrap, the masked-argmin
+agglomerative loop, and the per-sample quantization/topographic
+error loops — so the equivalence tests (and the
 ``bench_hotpaths`` harness, which times old vs. new) can compare
 against them forever.
 
@@ -245,3 +246,44 @@ def reference_agglomerative_merges(
         sizes[p] += sizes[q]
         cluster_ids[p] = count + step
     return tuple(merges)
+
+
+def _reference_distances(weights: np.ndarray, sample: np.ndarray) -> np.ndarray:
+    diff = weights - sample
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def reference_quantization_error(som: SelfOrganizingMap, matrix: np.ndarray) -> float:
+    """Quantization error as the per-sample loop computed it.
+
+    A transcription of ``repro.som.quality.quantization_error`` before
+    the one-pass rewrite: each sample's BMU by a direct squared
+    distance, one ``np.linalg.norm`` per sample, summed in a Python
+    float in sample order.
+    """
+    weights = som.weights
+    total = 0.0
+    for sample in np.asarray(matrix, dtype=float):
+        bmu = int(np.argmin(_reference_distances(weights, sample)))
+        total += float(np.linalg.norm(sample - weights[bmu]))
+    return total / matrix.shape[0]
+
+
+def reference_topographic_error(som: SelfOrganizingMap, matrix: np.ndarray) -> float:
+    """Topographic error as the per-sample loop computed it.
+
+    A transcription of ``repro.som.quality.topographic_error`` before
+    the one-pass rewrite: three distance searches per sample, the
+    second unit as ``np.argsort(distances)[1]`` (which can return the
+    BMU itself when the two nearest units tie, so compare against it
+    on tie-free data only), and one ``are_lattice_neighbors`` call per
+    sample.
+    """
+    weights = som.weights
+    errors = 0
+    for sample in np.asarray(matrix, dtype=float):
+        best = int(np.argmin(_reference_distances(weights, sample)))
+        second = int(np.argsort(_reference_distances(weights, sample))[1])
+        if not som.grid.are_lattice_neighbors(best, second):
+            errors += 1
+    return errors / matrix.shape[0]

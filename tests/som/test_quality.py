@@ -66,6 +66,39 @@ class TestTopographicError:
         with pytest.raises(SOMError, match="not trained"):
             topographic_error(SelfOrganizingMap(CONFIG), _blobs())
 
+    def test_tied_adjacent_units_are_not_an_error(self):
+        """Two identical adjacent units: the second BMU is the other one."""
+        data = np.array([[0.5, 0.5], [0.25, 0.75]])
+        som = SelfOrganizingMap(SOMConfig(rows=13, columns=13, seed=1)).fit(data)
+        # An unstable argsort ranked this tie BMU-first *and* second.
+        weights = 10.0 + np.random.default_rng(0).random((169, 2)) * 100.0
+        weights[112] = weights[113] = 0.0  # lattice neighbors (8, 8), (8, 9)
+        som._weights = weights
+        for sample in data:
+            assert som.best_matching_unit(sample) == 112
+            assert som.second_best_matching_unit(sample) == 113
+        assert topographic_error(som, data) == 0.0
+
+    def test_single_unit_map_rejected(self):
+        data = _blobs()
+        som = SelfOrganizingMap(SOMConfig(rows=1, columns=1, seed=1)).fit(data)
+        with pytest.raises(SOMError, match="single unit"):
+            topographic_error(som, data)
+        with pytest.raises(SOMError, match="single unit"):
+            som.second_best_matching_unit(data[0])
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("gauge", [quantization_error, topographic_error])
+    def test_bad_data_rejected(self, trained, gauge):
+        som, data = trained
+        with pytest.raises(SOMError, match="non-empty 2-D"):
+            gauge(som, data[0])
+        with pytest.raises(SOMError, match="NaN or inf"):
+            gauge(som, np.where(np.eye(20, 2, dtype=bool), np.nan, data))
+        with pytest.raises(SOMError, match="dimension 3"):
+            gauge(som, np.ones((4, 3)))
+
 
 class TestUMatrix:
     def test_shape(self, trained):
