@@ -4,12 +4,6 @@ The three paper configurations (SAR on machine A, SAR on machine B,
 Java method utilization) each feed one SOM map figure and one
 dendrogram figure; this module runs each configuration once and caches
 the result so the map bench and the dendrogram bench share it.
-
-Each configuration's run executes under a real tracer, and its
-structured timings (per-stage span durations, SOM epoch count and
-quality gauges) are archived as ``results/BENCH_pipeline_<config>.json``
-alongside the text figures — the observability API doing double duty
-as the perf-trajectory recorder.
 """
 
 from __future__ import annotations
@@ -18,9 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from benchmarks.conftest import write_bench_json
 from repro.analysis.pipeline import AnalysisResult, WorkloadAnalysisPipeline
-from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.som.som import SOMConfig
 from repro.workloads.suite import BenchmarkSuite
 
@@ -48,31 +40,8 @@ def build_pipeline(configuration: str) -> WorkloadAnalysisPipeline:
 
 @lru_cache(maxsize=None)
 def pipeline_result(configuration: str) -> AnalysisResult:
-    """Run (once), archive the traced timings, and cache the result."""
-    tracer, metrics = Tracer(), MetricsRegistry()
-    with use_tracer(tracer), use_metrics(metrics):
-        result = build_pipeline(configuration).run(
-            BenchmarkSuite.paper_suite()
-        )
-
-    report = result.run_report
-    write_bench_json(
-        f"pipeline_{configuration.replace('-', '_')}",
-        {
-            "configuration": configuration,
-            "recommended_clusters": result.recommended_clusters,
-            "total_seconds": report.total_seconds if report else None,
-            "stage_seconds": (
-                {s.stage: s.wall_seconds for s in report.stages}
-                if report
-                else {}
-            ),
-            "som_epoch_spans": len(tracer.find("som.epoch")),
-            "metrics": metrics.as_dict(),
-        },
-        config={"configuration": configuration},
-    )
-    return result
+    """Run one configuration (once) and cache the result."""
+    return build_pipeline(configuration).run(BenchmarkSuite.paper_suite())
 
 
 def scimark_spread_ratio(result: AnalysisResult, scimark: tuple[str, ...]) -> float:

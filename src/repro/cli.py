@@ -28,17 +28,13 @@ Installed as ``repro-hmeans``.  Subcommands:
 * ``confidence`` — bootstrap confidence intervals for the suite scores.
 * ``solve`` — rerun the partition-inference solver against a published
   table.
-* ``obs`` — inspect and analyze the persistent run ledger: ``obs
-  runs`` (recent runs), ``obs show RUN`` (ASCII flame view of one
-  run's stage timings), ``obs diff A B`` (per-stage wall-time deltas,
-  nonzero exit when a stage regresses past ``--threshold``), ``obs
-  trend`` (per-stage trends with sparklines across the last N runs),
-  ``obs top`` (which stages/configs burn the most cumulative fleet
-  time), ``obs gate --policy FILE`` (SLO gate — exits nonzero with a
-  violation report when the ledger breaches the policy's budgets) and
-  ``obs prune --keep N`` (atomic ledger compaction).  Every read-only
-  ``obs`` view takes ``--json`` for schema-versioned, deterministic
-  machine-readable output.
+* ``obs`` — inspect the persistent run ledger: ``obs runs`` (recent
+  runs), ``obs show RUN`` (ASCII flame view of one run's stage
+  timings), ``obs diff A B`` (per-stage wall-time deltas, nonzero exit
+  when a stage regresses past ``--threshold``), ``obs tail RUN`` (a
+  live service run's progress events) and ``obs prune --keep N``
+  (atomic ledger compaction).  ``obs runs/show/diff`` take ``--json``
+  for schema-versioned, deterministic machine-readable output.
 
 Every subcommand accepts the observability flags ``--trace FILE``
 (Chrome ``trace_event`` JSON of the run, or JSONL when the file ends
@@ -487,24 +483,15 @@ def _resolve_ledger(args: argparse.Namespace) -> RunLedger:
 
 
 def _cmd_obs(args: argparse.Namespace) -> tuple[str, int]:
-    """Dispatch the ``obs`` subcommands (runs/show/diff/trend/top/gate/prune)."""
-    from repro.obs import SIZE_WARNING_BYTES, LedgerFrame, SLOPolicy, to_json
-    from repro.obs.analytics import (
-        build_top,
-        build_trend,
-        evaluate_gate,
-        gate_payload,
-        top_payload,
-        trend_payload,
-    )
+    """Dispatch the ``obs`` subcommands (runs/show/diff/tail/prune)."""
+    import json
+
+    from repro.obs import SIZE_WARNING_BYTES
     from repro.obs.render import (
         diff_payload,
         render_diff,
         render_flame,
-        render_gate,
         render_runs_table,
-        render_top,
-        render_trend,
         runs_payload,
     )
 
@@ -515,9 +502,9 @@ def _cmd_obs(args: argparse.Namespace) -> tuple[str, int]:
     as_json = getattr(args, "json", False)
 
     def json_text(payload) -> str:
-        # to_json ends with a newline; main() prints with one more, so
-        # strip ours to keep piped output byte-stable ("}\n", not "}\n\n").
-        return to_json(payload).rstrip("\n")
+        # Sorted keys and a fixed indent keep ``--json`` output
+        # byte-stable; main() adds the one trailing newline.
+        return json.dumps(payload, indent=2, sort_keys=True)
 
     if args.obs_command == "runs":
         records = ledger.records()
@@ -535,9 +522,7 @@ def _cmd_obs(args: argparse.Namespace) -> tuple[str, int]:
     if args.obs_command == "show":
         record = ledger.find(args.run)
         if as_json:
-            import json as _json
-
-            return _json.dumps(record, indent=2, sort_keys=True), 0
+            return json_text(record), 0
         return (
             render_flame(
                 record,
@@ -553,39 +538,6 @@ def _cmd_obs(args: argparse.Namespace) -> tuple[str, int]:
             return json_text(payload), 1 if regressed else 0
         text, regressed = render_diff(a, b, threshold=args.threshold)
         return text, 1 if regressed else 0
-    if args.obs_command == "trend":
-        frame = LedgerFrame.load(
-            ledger, last=args.last, command=args.command_filter
-        )
-        report = build_trend(
-            frame,
-            stage=args.stage,
-            window=args.window,
-            tolerance_pct=args.tolerance,
-        )
-        if as_json:
-            return json_text(trend_payload(report)), 0
-        return render_trend(report), 0
-    if args.obs_command == "top":
-        frame = LedgerFrame.load(
-            ledger, last=args.last, command=args.command_filter
-        )
-        report = build_top(frame, by=args.by)
-        if as_json:
-            return json_text(top_payload(report)), 0
-        return render_top(report), 0
-    if args.obs_command == "gate":
-        policy = (
-            SLOPolicy.from_file(args.policy) if args.policy else SLOPolicy()
-        )
-        frame = LedgerFrame.load(
-            ledger, last=args.last, command=args.command_filter
-        )
-        report = evaluate_gate(frame, policy)
-        code = 0 if report.ok else 1
-        if as_json:
-            return json_text(gate_payload(report)), code
-        return render_gate(report), code
     # obs prune
     result = ledger.compact(args.keep)
     return (
@@ -949,7 +901,7 @@ def _build_parser() -> argparse.ArgumentParser:
     obs_cmd = subparsers.add_parser(
         "obs",
         help="inspect the persistent run ledger "
-        "(runs / show / diff / trend / top / gate / prune)",
+        "(runs / show / diff / tail / prune)",
     )
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
 
@@ -968,23 +920,6 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="emit a schema-versioned JSON payload (deterministic "
             "key order) instead of the ASCII rendering",
-        )
-
-    def window_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--last",
-            type=int,
-            default=None,
-            metavar="N",
-            help="analyze only the newest N ledger runs (default: all)",
-        )
-        sub.add_argument(
-            "--command",
-            dest="command_filter",
-            default=None,
-            metavar="CMD",
-            help="analyze only runs of this subcommand "
-            "(e.g. sweep, pipeline, bench:hotpaths)",
         )
 
     tail = obs_sub.add_parser(
@@ -1059,64 +994,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PCT",
         help="exit 1 when any stage of RUN_B is slower than RUN_A by "
         "more than PCT percent",
-    )
-
-    trend = obs_sub.add_parser(
-        "trend",
-        help="per-stage wall-time and cache-rate trends across recent runs",
-    )
-    ledger_flag(trend)
-    json_flag(trend)
-    window_flags(trend)
-    trend.add_argument(
-        "--stage",
-        default=None,
-        metavar="S",
-        help="show only this stage (across every configuration)",
-    )
-    trend.add_argument(
-        "--window",
-        type=int,
-        default=20,
-        metavar="N",
-        help="trailing-window size for the latest-vs-history comparison",
-    )
-    trend.add_argument(
-        "--tolerance",
-        type=float,
-        default=50.0,
-        metavar="PCT",
-        help="flag a stage whose latest run exceeds its trailing mean "
-        "by more than PCT percent",
-    )
-
-    top = obs_sub.add_parser(
-        "top",
-        help="which stages/configs burn the most cumulative fleet time",
-    )
-    ledger_flag(top)
-    json_flag(top)
-    window_flags(top)
-    top.add_argument(
-        "--by",
-        choices=("wall", "count"),
-        default="wall",
-        help="rank by cumulative wall seconds or by stage executions",
-    )
-
-    gate = obs_sub.add_parser(
-        "gate",
-        help="gate the ledger against an SLO policy (exit 1 on breach)",
-    )
-    ledger_flag(gate)
-    json_flag(gate)
-    window_flags(gate)
-    gate.add_argument(
-        "--policy",
-        metavar="FILE",
-        default=None,
-        help="TOML or JSON SLO policy file (default: the built-in "
-        "policy — max +50%% regression vs the trailing window)",
     )
 
     prune = obs_sub.add_parser(

@@ -55,8 +55,9 @@ __all__ = [
 
 _log = get_logger("engine.plan")
 
-# Static per-stage cost floor (seconds), measured on the reference
-# 1-CPU container (results/BENCH_pipeline_sar_A.json): SOM training
+# Static per-stage cost floor (seconds): the stage walls, rounded up
+# to at least 1 ms, of one SAR machine-A pipeline run on the paper's
+# 8x8 map at 500 steps per sample, on a 1-CPU container.  SOM training
 # dominates end to end; everything else is millisecond noise.  The
 # ledger overrides these with live history whenever it has any.
 DEFAULT_STAGE_COSTS: Mapping[str, float] = {
@@ -85,21 +86,31 @@ WORKER_SPAWN_SECONDS = 0.15
 VARIANT_IPC_SECONDS = 0.05
 
 
-def _engine_seconds(variants: Sequence["VariantPlan"]) -> float:
-    """Predicted compute seconds for ``variants`` run on one engine.
+def _marginal_seconds(variants: Sequence["VariantPlan"]) -> list[float]:
+    """Each variant's predicted seconds on one engine, in plan order.
 
     One engine computes a stage key once and replays it from its memo
-    for every later variant that shares it, so each distinct key is
-    priced once.  Opaque variants (no stage keys) are priced whole.
+    for every later variant that shares it, so a key is priced at the
+    first variant that computes it and later variants add only their
+    unseen keys.  Replayed and deduplicated variants cost
+    :data:`CACHE_HIT_SECONDS` per stage; opaque variants (no stage
+    keys) are priced whole.
     """
-    priced: dict[str, float] = {}
-    opaque = 0.0
+    seen: set[str] = set()
+    costs = []
     for variant in variants:
-        if not variant.stages:
-            opaque += variant.est_seconds
-        for stage in variant.stages:
-            priced.setdefault(stage.key, stage.est_seconds)
-    return opaque + sum(priced.values())
+        if not (variant.pool_eligible and variant.stages):
+            costs.append(variant.est_seconds)
+            continue
+        costs.append(
+            sum(
+                stage.est_seconds
+                for stage in variant.stages
+                if stage.key not in seen
+            )
+        )
+        seen.update(stage.key for stage in variant.stages)
+    return costs
 
 
 class StageCostModel:
@@ -265,8 +276,17 @@ class SweepPlan:
             if v.dedup_of is None and v.fully_cached
         )
 
+    @property
+    def marginal_seconds(self) -> tuple[float, ...]:
+        """Each variant's share of ``est_serial_seconds``, in plan order."""
+        return tuple(_marginal_seconds(self.variants))
+
     def render(self) -> str:
-        """Human-readable plan table (the ``sweep --dry-run`` output)."""
+        """Human-readable plan table (the ``sweep --dry-run`` output).
+
+        Each row's ``est`` is the variant's marginal serial cost, so
+        the rows add up to the ``est serial`` line.
+        """
         lines = [
             f"sweep plan: {len(self.variants)} variant(s), "
             f"{self.cpus} CPU(s) available, mode={self.mode}, "
@@ -286,7 +306,7 @@ class SweepPlan:
             f"  {'variant':<{width}}  {'seed':>10}  {'predicted':<14}"
             f"  {'est':>8}  decision"
         )
-        for variant in self.variants:
+        for variant, seconds in zip(self.variants, self.marginal_seconds):
             if variant.stages:
                 hits = sum(
                     1 for s in variant.stages if s.predicted == "disk"
@@ -302,7 +322,7 @@ class SweepPlan:
                 decision = "compute"
             lines.append(
                 f"  {variant.name:<{width}}  {variant.seed:>10}  "
-                f"{predicted:<14}  {variant.est_seconds:7.3f}s  {decision}"
+                f"{predicted:<14}  {seconds:7.3f}s  {decision}"
             )
         if self.cost_sources:
             priced = ", ".join(
@@ -400,7 +420,7 @@ class SweepPlanner:
         replay_cost = CACHE_HIT_SECONDS * sum(
             len(v.stages) or 1 for v in variants if not v.pool_eligible
         )
-        est_serial = _engine_seconds(pool) + replay_cost
+        est_serial = sum(_marginal_seconds(variants))
 
         if policy == "explicit":
             chosen = min(workers or 1, len(variants))
@@ -409,7 +429,10 @@ class SweepPlanner:
             chosen, clamp_reason = self._choose_workers(workers, len(pool))
         est_parallel = (
             self._spawn * chosen
-            + max(_engine_seconds(pool[i::chosen]) for i in range(chosen))
+            + max(
+                sum(_marginal_seconds(pool[i::chosen]))
+                for i in range(chosen)
+            )
             + self._ipc * len(pool)
             + replay_cost
         )

@@ -14,13 +14,8 @@ thread through every run:
 * :mod:`repro.obs.ledger` — a persistent JSONL ledger of runs
   (per-stage walls, cache sources, metrics, traces) read back by the
   ``repro-hmeans obs`` subcommands;
-* :mod:`repro.obs.analytics` — fleet analytics over the ledger:
-  windowed per-stage time series (:class:`LedgerFrame`), trend
-  statistics, cumulative cost ranking, and declarative SLO policies
-  gated by :func:`evaluate_gate` (``repro-hmeans obs trend/top/gate``);
-* :mod:`repro.obs.render` — ASCII rendering of ledger records and
-  analytics reports (run tables, flame views, regression diffs,
-  sparkline trends, SLO verdicts);
+* :mod:`repro.obs.render` — ASCII rendering of ledger records (run
+  tables, flame views, regression diffs, live service events);
 * :mod:`repro.obs.log` — stdlib logging under the ``repro`` namespace
   with an ``event key=value`` line format;
 * :mod:`repro.obs.context` — the propagatable
@@ -53,21 +48,6 @@ from repro.obs.context import (
     new_trace_id,
     set_context,
     use_context,
-)
-from repro.obs.analytics import (
-    GateReport,
-    GroupKey,
-    LedgerFrame,
-    SLOPolicy,
-    StageBudget,
-    StageSeries,
-    TopReport,
-    TrendReport,
-    Violation,
-    build_top,
-    build_trend,
-    evaluate_gate,
-    to_json,
 )
 from repro.obs.ledger import (
     DEFAULT_LEDGER_PATH,
@@ -142,20 +122,6 @@ __all__ = [
     "set_recorder",
     "use_recorder",
     "ledger_path_from_env",
-    # fleet analytics
-    "GroupKey",
-    "StageSeries",
-    "LedgerFrame",
-    "TrendReport",
-    "TopReport",
-    "GateReport",
-    "SLOPolicy",
-    "StageBudget",
-    "Violation",
-    "build_trend",
-    "build_top",
-    "evaluate_gate",
-    "to_json",
     # metrics
     "Counter",
     "Gauge",

@@ -1,4 +1,4 @@
-"""Persistent run ledger: one JSONL record per CLI/bench invocation.
+"""Persistent run ledger: one JSONL record per CLI or service run.
 
 Telemetry used to evaporate at process exit — traces, metrics and
 stage timings lived exactly as long as the run that produced them.
@@ -20,8 +20,8 @@ line atomically (single ``O_APPEND`` write), so concurrent runs never
 interleave records.
 
 Enable it with ``--ledger [FILE]`` on any subcommand or the
-``REPRO_LEDGER`` environment variable (benchmarks honor the same
-variable through :func:`benchmarks.conftest.write_bench_json`).
+``REPRO_LEDGER`` environment variable; ``repro-hmeans serve`` honors
+both for its per-request records.
 """
 
 from __future__ import annotations
@@ -87,11 +87,11 @@ def ledger_path_from_env() -> str | None:
 def run_source(command: str) -> str:
     """Classify a record's origin from its command prefix.
 
-    Three producers share the ledger: plain CLI invocations record
-    their subcommand (``pipeline``, ``sweep``, ...), benchmarks record
-    ``bench:<name>``, and the scoring daemon records
-    ``service:<endpoint>``.  ``obs runs`` surfaces this as the
-    ``source`` column so fleet views can slice by traffic origin.
+    Plain CLI invocations record their subcommand (``pipeline``,
+    ``sweep``, ...) and the scoring daemon records
+    ``service:<endpoint>``; older ledgers may also hold
+    ``bench:<name>`` records of the former benchmark harness.  ``obs
+    runs`` surfaces this as the ``source`` column.
     """
     if command.startswith("bench:"):
         return "bench"
@@ -347,8 +347,7 @@ class RunLedger:
         """Parseable records, oldest first (corrupt lines skipped).
 
         ``command`` keeps only records of that subcommand; ``last``
-        then keeps the newest N of what survived — this is the
-        windowed read the fleet-analytics layer is built on.  A torn
+        then keeps the newest N of what survived.  A torn
         final line (a crash mid-append, though the single ``O_APPEND``
         write makes that a kill-during-write event) parses as corrupt
         and is skipped like any other damaged line.
@@ -397,8 +396,8 @@ class RunLedger:
         the original — a reader or concurrent appender sees either the
         old file or the new one, never a half-written hybrid.  (An
         append racing the rename can land on the old inode and be
-        lost; compaction is an operator action, run it when the fleet
-        is quiet.)  Corrupt lines are dropped as a side effect.
+        lost; compaction is an operator action, run it when no run is
+        recording.)  Corrupt lines are dropped as a side effect.
         """
         if keep_last < 1:
             raise ReproError(

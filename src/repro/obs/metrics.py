@@ -10,8 +10,8 @@ A :class:`MetricsRegistry` hands out named instruments on demand::
 Instruments are keyed by name **plus labels**, so one histogram family
 covers every pipeline stage.  :meth:`MetricsRegistry.render_prometheus`
 emits the text exposition format (histograms as quantile summaries),
-and :meth:`MetricsRegistry.as_dict` the JSON shape benchmarks archive
-in their ``BENCH_*.json`` trajectories.
+and :meth:`MetricsRegistry.as_dict` the JSON shape the run ledger
+stores with each record.
 
 Like tracing, metrics are ambient: :func:`current_metrics` returns the
 installed registry (a process-wide default exists so instrumentation

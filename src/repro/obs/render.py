@@ -1,4 +1,4 @@
-"""ASCII rendering of run-ledger records: tables, flames, diffs, trends.
+"""ASCII rendering of run-ledger records: tables, flames, diffs.
 
 The ``repro-hmeans obs`` subcommands are thin wrappers over pure
 functions here:
@@ -10,19 +10,14 @@ functions here:
   not traced (``obs show``);
 * :func:`render_diff` — per-stage wall-time and cache-source deltas
   between two runs, with percent-change highlighting and a regression
-  verdict against a threshold (``obs diff``);
-* :func:`render_trend` / :func:`render_top` / :func:`render_gate` —
-  the fleet-analytics views over :mod:`repro.obs.analytics` reports
-  (``obs trend`` / ``obs top`` / ``obs gate``), with
-  :func:`sparkline` drawing the per-run trajectories.
+  verdict against a threshold (``obs diff``).
 
 Everything takes plain ledger record dicts (see
-:mod:`repro.obs.ledger`) or analytics report dataclasses, so the
-functions are directly testable and usable on hand-loaded JSONL.
+:mod:`repro.obs.ledger`), so the functions are directly testable and
+usable on hand-loaded JSONL.
 
 The ``--json`` twins of the record-level views live here too
-(:func:`runs_payload`, :func:`diff_payload`); the analytics payloads
-ship with their reports in :mod:`repro.obs.analytics`.
+(:func:`runs_payload`, :func:`diff_payload`).
 """
 
 from __future__ import annotations
@@ -42,10 +37,6 @@ __all__ = [
     "render_event",
     "runs_payload",
     "diff_payload",
-    "sparkline",
-    "render_trend",
-    "render_top",
-    "render_gate",
 ]
 
 
@@ -396,178 +387,3 @@ def diff_payload(
         "total_b_seconds": sum(walls_b.values()),
     }
     return payload, bool(regressed)
-
-
-# ---------------------------------------------------------------------------
-# fleet analytics views (obs trend / top / gate)
-# ---------------------------------------------------------------------------
-
-_SPARK_CHARS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Iterable[float | None]) -> str:
-    """Min-max scaled block-character sparkline, one char per value.
-
-    ``None`` entries (unknown samples, e.g. cache rate on a run with
-    no cache traffic) render as ``·``.  A flat series renders at the
-    lowest block so change, not level, is what catches the eye.
-    """
-    items = list(values)
-    known = [v for v in items if v is not None]
-    if not known:
-        return ""
-    lo, hi = min(known), max(known)
-    span = hi - lo
-    chars = []
-    for value in items:
-        if value is None:
-            chars.append("·")
-        elif span <= 0:
-            chars.append(_SPARK_CHARS[0])
-        else:
-            index = int((value - lo) / span * (len(_SPARK_CHARS) - 1))
-            chars.append(_SPARK_CHARS[index])
-    return "".join(chars)
-
-
-def _rate_text(rate: float | None) -> str:
-    return "-" if rate is None else f"{100.0 * rate:.0f}%"
-
-
-def render_trend(report) -> str:
-    """A :class:`~repro.obs.analytics.TrendReport` as per-group tables.
-
-    Each group (command + args fingerprint) gets a per-stage table —
-    runs, mean/p50/p95 walls, least-squares slope, latest-vs-trailing
-    change with a ``<-- REGRESSION`` flag past tolerance, cache hit
-    rate, and a wall-time sparkline — plus run-level wall and cache
-    hit-rate trajectories.
-    """
-    lines = [
-        f"fleet trend over {report.runs} run(s), trailing window "
-        f"{report.window}, tolerance +{report.tolerance_pct:g}%",
-    ]
-    for group in report.groups:
-        lines += [
-            "",
-            f"{group.key.label}  ({len(group.run_ids)} run(s))",
-            f"  run wall   {sparkline(group.wall_seconds)}  "
-            f"{group.wall_seconds[0]:.3f}s -> {group.wall_seconds[-1]:.3f}s",
-            f"  cache hit  {sparkline(group.cache_hit_rates)}  "
-            f"{_rate_text(group.cache_hit_rates[0])} -> "
-            f"{_rate_text(group.cache_hit_rates[-1])}",
-            "",
-        ]
-        rows = []
-        for trend in group.stages:
-            series = trend.series
-            change = trend.change_pct
-            rows.append(
-                (
-                    series.stage,
-                    series.count,
-                    f"{series.mean * 1e3:.1f}ms",
-                    f"{series.percentile(50) * 1e3:.1f}ms",
-                    f"{series.percentile(95) * 1e3:.1f}ms",
-                    f"{series.slope_per_run * 1e3:+.2f}ms/run",
-                    "-" if change is None else f"{change:+.1f}%",
-                    _rate_text(series.cache_hit_rate),
-                    sparkline(series.walls)
-                    + ("  <-- REGRESSION" if trend.flagged else ""),
-                )
-            )
-        table = format_table(
-            ["stage", "runs", "mean", "p50", "p95", "slope", "vs trail",
-             "cache", "trend"],
-            rows,
-        )
-        lines += ["  " + line for line in table.splitlines()]
-    flagged = report.flagged
-    lines.append("")
-    if flagged:
-        names = ", ".join(
-            f"{t.series.group.label}/{t.series.stage}" for t in flagged
-        )
-        lines.append(
-            f"REGRESSED: {names} above +{report.tolerance_pct:g}% of their "
-            "trailing window"
-        )
-    else:
-        lines.append(
-            f"ok: no stage above +{report.tolerance_pct:g}% of its "
-            "trailing window"
-        )
-    return "\n".join(lines)
-
-
-def render_top(report) -> str:
-    """A :class:`~repro.obs.analytics.TopReport` as a ranked cost table."""
-    rows = []
-    cumulative = 0.0
-    for row in report.rows:
-        cumulative += row.share_pct
-        rows.append(
-            (
-                row.stage,
-                row.group.label,
-                row.runs,
-                row.executions,
-                f"{row.total_wall_seconds * 1e3:.1f}ms",
-                f"{row.share_pct:.1f}%",
-                f"{cumulative:.1f}%",
-            )
-        )
-    table = format_table(
-        ["stage", "config", "runs", "execs", "total wall", "share", "cum"],
-        rows,
-    )
-    return "\n".join(
-        [
-            f"fleet cost by {report.by} over {report.runs} run(s): "
-            f"{report.total_wall_seconds * 1e3:.1f}ms of stage time total",
-            table,
-        ]
-    )
-
-
-def render_gate(report) -> str:
-    """A :class:`~repro.obs.analytics.GateReport` as a verdict block.
-
-    Violations render as one table row each; the final line is the
-    machine-greppable verdict (``SLO GATE: PASS`` / ``SLO GATE: FAIL``).
-    """
-    policy = report.policy
-    lines = [
-        f"SLO gate over {report.runs} run(s)  "
-        f"(policy {policy.source}, window {policy.window}, "
-        f"min_runs {policy.min_runs})",
-        f"checked {len(report.checked)} series, "
-        f"skipped {len(report.skipped)}",
-    ]
-    for label, reason in sorted(report.skipped.items()):
-        lines.append(f"  skipped {label}: {reason}")
-    if report.violations:
-        lines.append("")
-        lines.append(
-            format_table(
-                ["series", "rule", "budget", "actual", "detail"],
-                [
-                    (
-                        f"{v.group.label}/{v.stage}",
-                        v.rule,
-                        f"{v.limit:g}",
-                        f"{v.actual:.6g}",
-                        v.detail,
-                    )
-                    for v in report.violations
-                ],
-            )
-        )
-        lines.append("")
-        lines.append(
-            f"SLO GATE: FAIL — {len(report.violations)} violation(s)"
-        )
-    else:
-        lines.append("")
-        lines.append("SLO GATE: PASS — no budget breached")
-    return "\n".join(lines)

@@ -8,8 +8,7 @@ what the byte-identity tests compare.
 
 :class:`ServiceThread` runs a full :class:`ScoringService` on its own
 event loop in a daemon thread, bound to an ephemeral port.  It is the
-service-level test fixture and the load-generator substrate in
-``benchmarks/bench_service.py``::
+service-level test fixture::
 
     with ServiceThread(runtime=ServiceRuntime(...)) as server:
         client = server.client()

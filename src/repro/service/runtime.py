@@ -15,8 +15,8 @@ requests and survives independently of any particular transport:
 * the async job registry behind ``POST /analyze {"wait": false}`` and
   ``GET /runs/{id}``;
 * ``service:<endpoint>`` run-ledger records for every request, so
-  ``obs runs/trend/top/gate`` cover service traffic exactly like CLI
-  and bench traffic.
+  ``obs runs/show/diff`` cover service traffic exactly like CLI
+  traffic.
 
 Everything here is callable synchronously (tests and the benchmark
 drive it directly); :mod:`repro.service.app` adds the asyncio
@@ -189,7 +189,7 @@ class ServiceRuntime:
         cross-contaminate a global).  Coalesced followers record with
         an empty stage list and a ``coalesced_with`` pointer at the
         leader's ledger record: the leader carries the computation, so
-        fleet analytics never double-counts one engine run while
+        the ledger never counts one engine run twice while
         ``obs show`` can still hop follower → leader.  ``trace_id``
         stamps the originating request identity so the record resolves
         by trace-id prefix (``obs show <prefix>``).

@@ -39,10 +39,17 @@ def bmu_scores(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     quality gauges of :mod:`repro.som.quality` rank the same matrix,
     so their best units are bitwise the ones :func:`bmu_indices`
     returns.
+
+    The combination runs in place on the cross-term buffer: scaling by
+    ``-2`` is exact and ``a + (-2c)`` rounds like ``a - 2c``, so the
+    scores are bitwise those of ``weight_norms - 2.0 * cross`` without
+    two temporaries the size of the score matrix.
     """
     weight_norms = _einsum("ud,ud->u", weights, weights)
-    cross = _einsum("sd,ud->su", matrix, weights)
-    return weight_norms[None, :] - 2.0 * cross
+    scores = _einsum("sd,ud->su", matrix, weights)
+    scores *= -2.0
+    scores += weight_norms
+    return scores
 
 
 def bmu_indices(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from repro.engine.executor import PipelineEngine, precompute_stage_keys
 from repro.engine.fingerprint import fingerprint
 from repro.engine.hostinfo import available_cpus
 from repro.engine.plan import (
+    CACHE_HIT_SECONDS,
     DEFAULT_STAGE_COSTS,
     DEFAULT_TASK_SECONDS,
     DEFAULT_UNKNOWN_STAGE_SECONDS,
@@ -257,7 +258,27 @@ def _linkage_sweep(count):
     )
 
 
+def _assert_rows_add_up(plan):
+    """The plan's per-variant rows sum to its serial estimate."""
+    assert sum(plan.marginal_seconds) == pytest.approx(
+        plan.est_serial_seconds, abs=1e-9
+    )
+    rows = plan.render().splitlines()[3 : 3 + len(plan.variants)]
+    printed = [float(row.split()[4].rstrip("s")) for row in rows]
+    assert printed == [round(s, 3) for s in plan.marginal_seconds]
+
+
 class TestSharedStagePricing:
+    def test_rendered_rows_add_up_to_the_serial_estimate(self):
+        plan = SweepPlanner(cpus=1).plan(_linkage_sweep(5))
+        _assert_rows_add_up(plan)
+        costs = DEFAULT_STAGE_COSTS
+        # The first variant computes the shared stages; the rest add
+        # only their own cluster stage.
+        assert plan.marginal_seconds[1:] == pytest.approx(
+            [costs["cluster"]] * 4
+        )
+
     def test_serial_prices_each_distinct_key_once(self):
         plan = SweepPlanner(cpus=1).plan(_linkage_sweep(5))
         costs = DEFAULT_STAGE_COSTS
@@ -318,6 +339,25 @@ class TestCachePrediction:
         (variant,) = plan.variants
         assert not variant.fully_cached
         assert variant.est_seconds == DEFAULT_TASK_SECONDS
+
+    def test_rows_add_up_with_cached_and_deduped_variants(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        warm = _linkage_sweep(1)[0].stage_keys
+        for key in warm.values():
+            cache.put(key, {"x": 1})
+        entries = [
+            PlanEntry(name="cached", seed=0, stage_keys=warm),
+            *_linkage_sweep(4)[1:],
+            PlanEntry(
+                name="twin", seed=9, stage_keys=_linkage_sweep(4)[3].stage_keys
+            ),
+        ]
+        plan = SweepPlanner(disk_cache=cache, cpus=1).plan(entries)
+        assert [v.name for v in plan.cached] == ["cached"]
+        assert [v.name for v in plan.deduped] == ["twin"]
+        _assert_rows_add_up(plan)
+        cached_row, *_, twin_row = plan.marginal_seconds
+        assert cached_row == twin_row == pytest.approx(CACHE_HIT_SECONDS * 4)
 
     def test_render_mentions_every_variant_and_decision(self, tmp_path):
         cache = DiskCache(tmp_path)

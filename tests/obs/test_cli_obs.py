@@ -105,23 +105,29 @@ class TestPipelineTraceAndMetrics:
         assert document["traceEvents"][0]["name"] == "cli.gaming"
 
 
-def _synthetic_run(run_id, command="pipeline", stages=None):
+def synthetic_run(
+    run_id, *, command="sweep", timestamp=1754000000.0, stages=()
+):
     """A hand-built ledger record with controllable stage walls."""
     return {
         "schema": 1,
         "run_id": run_id,
-        "timestamp_unix": 1754000000.0,
+        "timestamp_unix": timestamp,
         "command": command,
         "args": {},
-        "args_fingerprint": "0" * 12,
+        "args_fingerprint": "a" * 12,
         "pid": 1,
-        "wall_seconds": sum(s["wall_seconds"] for s in stages or []),
+        "wall_seconds": sum(s["wall_seconds"] for s in stages),
         "exit_code": 0,
-        "stages": stages or [],
+        "stages": list(stages),
         "cache_sources": {},
         "metrics": {},
         "trace": None,
     }
+
+
+def stage(name, wall, *, cache_hit=False):
+    return [{"stage": name, "wall_seconds": wall, "cache_hit": cache_hit}]
 
 
 class TestLedgerRecording:
@@ -194,8 +200,9 @@ class TestObsCommands:
         path = tmp_path / "runs.jsonl"
         ledger = RunLedger(path)
         ledger.append(
-            _synthetic_run(
+            synthetic_run(
                 "run-base",
+                command="pipeline",
                 stages=[
                     {"stage": "reduce", "wall_seconds": 1.0},
                     {"stage": "cluster", "wall_seconds": 0.1},
@@ -203,8 +210,9 @@ class TestObsCommands:
             )
         )
         ledger.append(
-            _synthetic_run(
+            synthetic_run(
                 "run-slow",
+                command="pipeline",
                 stages=[
                     {"stage": "reduce", "wall_seconds": 1.5},
                     {"stage": "cluster", "wall_seconds": 0.1},
@@ -283,7 +291,7 @@ class TestObsCommands:
         from repro.obs import RunLedger
 
         path = tmp_path / "runs.jsonl"
-        record = _synthetic_run("run-traced")
+        record = synthetic_run("run-traced", command="pipeline")
         record["trace"] = [
             {
                 "name": "cli.pipeline",
@@ -307,3 +315,156 @@ class TestObsCommands:
         assert "cli.pipeline" in out
         assert "  stage.reduce" in out
         assert "[pid 77]" in out
+
+
+@pytest.fixture
+def seeded_ledger(tmp_path):
+    """Four same-fingerprint sweep runs, the last one 2x slower."""
+    from repro.obs import RunLedger
+
+    path = tmp_path / "runs.jsonl"
+    ledger = RunLedger(path)
+    for i, wall in enumerate([1.0, 1.0, 1.0, 2.0]):
+        ledger.append(
+            synthetic_run(
+                f"s{i + 1}",
+                timestamp=1754000000.0 + i,
+                stages=stage("reduce", wall)
+                + stage("cluster", 0.5, cache_hit=i > 0),
+            )
+        )
+    return path
+
+
+def run_cli(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+class TestJsonByteIdentity:
+    def test_repeat_invocations_are_byte_identical(self, seeded_ledger, capsys):
+        for argv in (
+            ["obs", "runs", "--json", "--ledger", str(seeded_ledger)],
+            ["obs", "show", "s2", "--json", "--ledger", str(seeded_ledger)],
+            ["obs", "diff", "s1", "s4", "--json", "--ledger", str(seeded_ledger)],
+        ):
+            _, first = run_cli(argv, capsys)
+            _, second = run_cli(argv, capsys)
+            assert first == second
+            _assert_keys_sorted(json.loads(first))
+
+
+def _assert_keys_sorted(value):
+    """Every mapping in the document must have its keys sorted."""
+    if isinstance(value, dict):
+        assert list(value) == sorted(value)
+        for child in value.values():
+            _assert_keys_sorted(child)
+    elif isinstance(value, list):
+        for child in value:
+            _assert_keys_sorted(child)
+
+
+class TestObsJsonModes:
+    def test_runs_json_is_schema_versioned(self, seeded_ledger, capsys):
+        code, out = run_cli(
+            ["obs", "runs", "--json", "--ledger", str(seeded_ledger)], capsys
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["schema"] == 1
+        assert payload["kind"] == "obs-runs"
+        assert [r["run_id"] for r in payload["runs"]] == ["s1", "s2", "s3", "s4"]
+        assert [r["source"] for r in payload["runs"]] == ["cli"] * 4
+
+    def test_runs_json_source_tracks_command_prefix(self, tmp_path, capsys):
+        from repro.obs import RunLedger
+
+        path = tmp_path / "runs.jsonl"
+        ledger = RunLedger(path)
+        for run_id, command in (
+            ("c1", "pipeline"),
+            ("b1", "bench:service"),
+            ("v1", "service:score"),
+            ("v2", "service:analyze"),
+        ):
+            ledger.append(
+                synthetic_run(run_id, command=command, timestamp=1754000000.0)
+            )
+        code, out = run_cli(
+            ["obs", "runs", "--json", "--ledger", str(path)], capsys
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert [(r["run_id"], r["source"]) for r in payload["runs"]] == [
+            ("c1", "cli"),
+            ("b1", "bench"),
+            ("v1", "service"),
+            ("v2", "service"),
+        ]
+
+    def test_show_json_dumps_the_raw_record(self, seeded_ledger, capsys):
+        code, out = run_cli(
+            ["obs", "show", "s4", "--json", "--ledger", str(seeded_ledger)],
+            capsys,
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["run_id"] == "s4"
+        assert record["wall_seconds"] == 2.5
+        assert len(record["stages"]) == 2
+
+    def test_diff_json_exit_code_tracks_threshold(self, seeded_ledger, capsys):
+        code, out = run_cli(
+            [
+                "obs", "diff", "s1", "s4",
+                "--json", "--threshold", "50",
+                "--ledger", str(seeded_ledger),
+            ],
+            capsys,
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["kind"] == "obs-diff"
+        assert payload["regressed"] == ["reduce"]
+        reduce_row = next(
+            s for s in payload["stages"] if s["stage"] == "reduce"
+        )
+        assert reduce_row["status"] == "regression"
+        assert reduce_row["change_pct"] == 100.0
+
+
+class TestPruneAndSizeWarning:
+    def test_prune_keeps_newest_runs(self, seeded_ledger, capsys):
+        from repro.obs import RunLedger
+
+        code, out = run_cli(
+            [
+                "obs", "prune", "--keep", "2",
+                "--ledger", str(seeded_ledger),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert "kept 2 run(s), dropped 2" in out
+        remaining = RunLedger(seeded_ledger).records()
+        assert [r["run_id"] for r in remaining] == ["s3", "s4"]
+
+    def test_runs_warns_past_the_size_threshold(
+        self, seeded_ledger, capsys, monkeypatch
+    ):
+        import repro.obs
+
+        monkeypatch.setattr(repro.obs, "SIZE_WARNING_BYTES", 64)
+        code, out = run_cli(
+            ["obs", "runs", "--ledger", str(seeded_ledger)], capsys
+        )
+        assert code == 0
+        assert "obs prune --keep N" in out
+
+    def test_runs_stays_quiet_below_the_threshold(self, seeded_ledger, capsys):
+        code, out = run_cli(
+            ["obs", "runs", "--ledger", str(seeded_ledger)], capsys
+        )
+        assert code == 0
+        assert "warning" not in out

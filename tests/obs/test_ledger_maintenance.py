@@ -11,7 +11,7 @@ import pytest
 from repro.exceptions import ReproError
 from repro.obs.ledger import RunLedger
 
-from tests.obs.test_analytics import stage, synthetic_run
+from tests.obs.test_cli_obs import stage, synthetic_run
 
 
 def seeded(path, n=5):

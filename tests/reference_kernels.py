@@ -9,13 +9,12 @@ existed before vectorization, the batch SOM epoch as it was written
 in-line before it was factored into search / terms / apply steps, the
 per-pair distance loop, the
 one-replicate-at-a-time bootstrap, the masked-argmin
-agglomerative loop, and the per-sample quantization/topographic
-error loops — so the equivalence tests (and the
-``bench_hotpaths`` harness, which times old vs. new) can compare
-against them forever.
+agglomerative loop, the per-sample quantization/topographic
+error loops, and the BMU score expression before its in-place form —
+so the equivalence tests can compare against them forever.
 
-Nothing here is exported through the package; it is test/bench
-scaffolding only, deliberately written step-at-a-time.
+Nothing here is exported through the package; it is test scaffolding
+only, deliberately written step-at-a-time.
 """
 
 from __future__ import annotations
@@ -246,6 +245,17 @@ def reference_agglomerative_merges(
         sizes[p] += sizes[q]
         cluster_ids[p] = count + step
     return tuple(merges)
+
+
+def reference_bmu_scores(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``repro.som.bmu.bmu_scores`` as the two-temporary expression.
+
+    ``||w||^2 - 2 <x, w>`` with both reductions by the same einsum
+    kernel, combined out of place.
+    """
+    weight_norms = np.einsum("ud,ud->u", weights, weights)
+    cross = np.einsum("sd,ud->su", matrix, weights)
+    return weight_norms[None, :] - 2.0 * cross
 
 
 def _reference_distances(weights: np.ndarray, sample: np.ndarray) -> np.ndarray:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import socket
+import threading
 import time
 
 import pytest
@@ -31,6 +33,26 @@ def _submit_async_analyze(client, payload=None):
 
 def _drain_events(client, run_id, **kwargs):
     return list(client.events(run_id, **kwargs))
+
+
+SCORE_BODY = json.dumps(
+    {
+        "measurements": {
+            "A": {"x": 2.0, "y": 4.0},
+            "B": {"x": 1.0, "y": 2.0},
+        },
+        "partition": [["x"], ["y"]],
+    }
+).encode("utf-8")
+
+
+def _collect_lines(response, lines):
+    """Append ``(arrival time, line)`` until the stream is shut down."""
+    try:
+        for raw in response:
+            lines.append((time.monotonic(), raw.decode("utf-8").rstrip("\n")))
+    except (OSError, ValueError):
+        pass  # the test shut the socket down mid-read
 
 
 class TestEventStreamEndpoint:
@@ -107,31 +129,64 @@ class TestEventStreamEndpoint:
         _drain_events(service_client, run_id)  # let the job finish
 
     def test_follow_keeps_the_stream_open_with_heartbeats(self, tmp_path):
+        """A follow subscriber idles on heartbeats while /score runs.
+
+        Subscribed past a finished run's last event, the stream carries
+        only comment heartbeats, at the heartbeat rate: the follow loop
+        neither spins nor wakes on ``/score`` traffic riding the same
+        event loop, and that traffic answers byte-identically.
+        """
+        heartbeat_seconds = 0.05
         runtime = ServiceRuntime(cache_dir=str(tmp_path / "cache"))
         with ServiceThread(
-            runtime=runtime, heartbeat_seconds=0.05
+            runtime=runtime, heartbeat_seconds=heartbeat_seconds
         ) as server:
             client = server.client()
             run_id = _submit_async_analyze(client)
-            _drain_events(client, run_id)  # run to completion
+            # Run to completion, then subscribe past its last event.
+            last_seq = _drain_events(client, run_id)[-1].seq
 
-            connection = http.client.HTTPConnection(
+            subscriber = http.client.HTTPConnection(
                 server.host, server.port, timeout=10.0
             )
+            subscriber.connect()
+            subscriber_socket = subscriber.sock
+            started = time.monotonic()
+            subscriber.request(
+                "GET", f"/events/{run_id}?follow=1&after={last_seq}"
+            )
+            response = subscriber.getresponse()
+            assert response.status == 200
+            lines: list[tuple[float, str]] = []
+            reader = threading.Thread(
+                target=_collect_lines, args=(response, lines), daemon=True
+            )
+            reader.start()
+            scorer = http.client.HTTPConnection(
+                server.host, server.port, timeout=10.0
+            )
+            bodies = set()
             try:
-                connection.request("GET", f"/events/{run_id}?follow=1")
-                response = connection.getresponse()
-                assert response.status == 200
-                saw_heartbeat = False
+                for _ in range(100):
+                    scorer.request("POST", "/score", body=SCORE_BODY)
+                    reply = scorer.getresponse()
+                    assert reply.status == 200
+                    bodies.add(reply.read())
                 deadline = time.monotonic() + 5.0
-                while time.monotonic() < deadline:
-                    line = response.readline().decode("utf-8")
-                    if line.startswith(": heartbeat"):
-                        saw_heartbeat = True
-                        break
-                assert saw_heartbeat
+                while not lines and time.monotonic() < deadline:
+                    time.sleep(heartbeat_seconds)
+                stopped = time.monotonic()
             finally:
-                connection.close()
+                subscriber_socket.shutdown(socket.SHUT_RDWR)
+                reader.join(timeout=10.0)
+                subscriber.close()
+                scorer.close()
+
+        assert not reader.is_alive()
+        assert len(bodies) == 1
+        seen = [line for at, line in lines if at <= stopped and line]
+        assert seen and set(seen) == {": heartbeat"}
+        assert len(seen) <= (stopped - started) / heartbeat_seconds + 2
 
 
 class TestTraceHeaders:

@@ -4,8 +4,9 @@
 sample matrix gives *bitwise* the same answers as slicing the
 full-matrix result: each row's answer depends on that row and the
 weights only.  These tests pin it (against adversarial slicings and
-near-tie weight layouts) and pin agreement with a brute-force
-nearest-weight scan.
+near-tie weight layouts), pin agreement with a brute-force
+nearest-weight scan, and pin the in-place score combination bitwise to
+the out-of-place expression it replaced.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from repro.som.bmu import bmu_indices
+from repro.som.bmu import bmu_indices, bmu_scores
+
+from tests.reference_kernels import reference_bmu_scores
 
 
 @st.composite
@@ -88,3 +91,17 @@ class TestRowSliceInvariance:
             distances = np.sum((weights - sample) ** 2, axis=1)
             assert distances[index] == distances.min()
 
+
+class TestInPlaceScores:
+    @given(matrices_and_weights())
+    @settings(max_examples=80, deadline=None)
+    def test_scores_and_indices_match_the_reference_bitwise(self, data):
+        matrix, weights = data
+        scores = bmu_scores(matrix, weights)
+        reference = reference_bmu_scores(matrix, weights)
+        np.testing.assert_array_equal(
+            scores.view(np.uint64), reference.view(np.uint64)
+        )
+        np.testing.assert_array_equal(
+            bmu_indices(matrix, weights), np.argmin(reference, axis=1)
+        )
