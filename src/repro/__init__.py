@@ -34,13 +34,11 @@ from repro.analysis import AnalysisResult, WorkloadAnalysisPipeline
 from repro.cluster import AgglomerativeClustering, Dendrogram
 from repro.engine import (
     DiskCache,
-    FanOutExecutor,
     PipelineEngine,
     RunReport,
     Stage,
     Variant,
     derive_seed,
-    run_many,
 )
 from repro.core import (
     Hierarchy,
@@ -100,10 +98,8 @@ __all__ = [
     "RunReport",
     "Stage",
     "DiskCache",
-    "FanOutExecutor",
     "Variant",
     "derive_seed",
-    "run_many",
     "SelfOrganizingMap",
     "SOMConfig",
     "AgglomerativeClustering",

@@ -36,14 +36,19 @@ from repro.analysis.pipeline import AnalysisResult, WorkloadAnalysisPipeline
 from repro.analysis.stages import suite_fingerprint
 from repro.engine.diskcache import DiskCache
 from repro.engine.executor import PipelineEngine, precompute_stage_keys
-from repro.engine.fanout import SweepScheduler, Variant, derive_seed
+from repro.engine.fanout import (
+    SweepScheduler,
+    Variant,
+    check_variants,
+    derive_seeds,
+)
 from repro.engine.plan import (
     PlanEntry,
     StageCostModel,
     SweepPlan,
     SweepPlanner,
 )
-from repro.exceptions import EngineError, MeasurementError
+from repro.exceptions import MeasurementError
 from repro.som.som import SOMConfig
 from repro.workloads.suite import BenchmarkSuite
 
@@ -135,13 +140,6 @@ def _run_variant(params: Mapping[str, Any], seed: int) -> AnalysisResult:
     return spec.pipeline(seed, _WORKER_ENGINE).run(_WORKER_SUITE)
 
 
-def _check_unique(variants: Sequence[PipelineVariant]) -> None:
-    names = [v.name for v in variants]
-    if len(set(names)) != len(names):
-        duplicated = sorted({n for n in names if names.count(n) > 1})
-        raise EngineError(f"sweep: duplicate variant names {duplicated}")
-
-
 def plan_pipeline_variants(
     variants: Sequence[PipelineVariant],
     suite: BenchmarkSuite,
@@ -166,23 +164,18 @@ def plan_pipeline_variants(
     """
     if not variants:
         raise MeasurementError("plan_pipeline_variants: no variants")
-    _check_unique(variants)
+    check_variants(variants, "sweep")
     source = {"suite": suite_fingerprint(suite)}
-    entries = []
-    for index, variant in enumerate(variants):
-        seed = (
-            variant.seed
-            if variant.seed is not None
-            else derive_seed(base_seed, index, variant.name)
+    entries = [
+        PlanEntry(
+            name=variant.name,
+            seed=seed,
+            stage_keys=precompute_stage_keys(
+                variant.pipeline(seed, None).stages(), source
+            ),
         )
-        stages = variant.pipeline(seed, None).stages()
-        entries.append(
-            PlanEntry(
-                name=variant.name,
-                seed=seed,
-                stage_keys=precompute_stage_keys(stages, source),
-            )
-        )
+        for variant, seed in zip(variants, derive_seeds(variants, base_seed))
+    ]
     planner = SweepPlanner(
         cost_model=(
             cost_model
@@ -194,7 +187,7 @@ def plan_pipeline_variants(
         disk_cache=None if cache_dir is None else DiskCache(cache_dir),
         cpus=cpus,
     )
-    return planner.plan(entries, workers=workers, policy="cost")
+    return planner.plan(entries, workers=workers)
 
 
 def run_pipeline_variants(
@@ -220,10 +213,12 @@ def run_pipeline_variants(
     persistent disk cache; identical results whatever the mode — seeds
     are deterministic per variant, and deduped or fully-cached
     variants replay the same artifacts their computing twin wrote.
+    A pool worker that dies raises :class:`~repro.exceptions.EngineError`
+    naming the variants it lost; nothing is retried.
     """
     if not variants:
         raise MeasurementError("run_pipeline_variants: no variants")
-    _check_unique(variants)
+    check_variants(variants, "sweep")
     if plan is None:
         plan = plan_pipeline_variants(
             variants,

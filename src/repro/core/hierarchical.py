@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core.means import (
     MEAN_FUNCTIONS,
+    _reciprocal_sum,
     arithmetic_mean,
     geometric_mean,
     harmonic_mean,
@@ -196,6 +197,9 @@ def hierarchical_mean_many(
         raise MeasurementError(
             f"{mean}_mean: scores must be strictly positive, found {worst}"
         )
+    if mean == "harmonic":
+        # Every block's reciprocal sum is bounded by its row's.
+        _reciprocal_sum(matrix, context="harmonic_mean", axis=1)
 
     column = {label: index for index, label in enumerate(labels)}
     representatives = np.empty((matrix.shape[0], partition.num_blocks))

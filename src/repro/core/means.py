@@ -76,6 +76,35 @@ def _validate_weights(
     return array / array.sum()
 
 
+def _reciprocal_sum(
+    array: np.ndarray,
+    weights: np.ndarray | None = None,
+    *,
+    context: str,
+    axis: int | None = None,
+) -> np.ndarray:
+    """Sum of ``1/x`` (``weights``-weighted when given); raise if it overflows.
+
+    A score near the bottom of the float range (a subnormal speedup)
+    has a reciprocal beyond its top, and the harmonic mean of anything
+    containing it would silently come out as 0.
+    """
+    with np.errstate(over="ignore"):
+        reciprocals = 1.0 / array
+        total = (
+            np.sum(reciprocals, axis=axis)
+            if weights is None
+            else np.dot(weights, reciprocals)
+        )
+    # math.isfinite keeps the common scalar case off numpy's slow path.
+    if not (math.isfinite(total) if axis is None else np.isfinite(total).all()):
+        raise MeasurementError(
+            f"{context}: the reciprocal of score {float(array.min())!r} "
+            "overflows; the harmonic mean would collapse to 0"
+        )
+    return total
+
+
 def arithmetic_mean(values: Sequence[float] | np.ndarray) -> float:
     """Plain arithmetic mean: ``(X_1 + ... + X_n) / n``."""
     array = _validate_scores(values, context="arithmetic_mean", require_positive=False)
@@ -95,7 +124,7 @@ def geometric_mean(values: Sequence[float] | np.ndarray) -> float:
 def harmonic_mean(values: Sequence[float] | np.ndarray) -> float:
     """Plain harmonic mean: ``n / (1/X_1 + ... + 1/X_n)``."""
     array = _validate_scores(values, context="harmonic_mean", require_positive=True)
-    return float(array.size / np.sum(1.0 / array))
+    return float(array.size / _reciprocal_sum(array, context="harmonic_mean"))
 
 
 def power_mean(values: Sequence[float] | np.ndarray, exponent: float) -> float:
@@ -163,7 +192,10 @@ def weighted_harmonic_mean(
     normalized = _validate_weights(
         weights, array.size, context="weighted_harmonic_mean"
     )
-    return float(1.0 / np.dot(normalized, 1.0 / array))
+    return float(
+        1.0
+        / _reciprocal_sum(array, normalized, context="weighted_harmonic_mean")
+    )
 
 
 MEAN_FUNCTIONS = {

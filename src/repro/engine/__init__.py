@@ -22,11 +22,12 @@ provides that shape as reusable machinery:
   ledger-fed cost estimates, dedup of identical fingerprint chains,
   and a serial-vs-parallel verdict sized to
   :func:`~repro.engine.hostinfo.available_cpus`;
-* :class:`~repro.engine.fanout.SweepScheduler` — the acting half:
-  executes a :class:`~repro.engine.plan.SweepPlan` over a process
-  pool sharing one disk cache, with deterministic per-variant seeds
-  (:class:`~repro.engine.fanout.FanOutExecutor` remains the
-  explicit-workers façade).
+* :class:`~repro.engine.fanout.SweepScheduler` — the acting half and
+  the one way to run a sweep: executes a
+  :class:`~repro.engine.plan.SweepPlan` over a process pool sharing
+  one disk cache, with deterministic per-variant seeds, and fails with
+  an :class:`~repro.exceptions.EngineError` naming the lost variants
+  when a worker process dies.
 
 The six paper stages are implemented beside their subsystems
 (:mod:`repro.characterization.stages`, :mod:`repro.som.stages`,
@@ -46,14 +47,12 @@ from repro.engine.executor import (
     run_single,
 )
 from repro.engine.fanout import (
-    FanOutExecutor,
     SweepScheduler,
     Variant,
     VariantOutcome,
     derive_seed,
     derive_seeds,
     fork_available,
-    run_many,
 )
 from repro.engine.fingerprint import combine, fingerprint
 from repro.engine.hostinfo import available_cpus
@@ -94,14 +93,12 @@ __all__ = [
     "DiskCache",
     "DiskCacheInfo",
     "DEFAULT_MAX_BYTES",
-    "FanOutExecutor",
     "SweepScheduler",
     "Variant",
     "VariantOutcome",
     "derive_seed",
     "derive_seeds",
     "fork_available",
-    "run_many",
     "available_cpus",
     "PlanEntry",
     "StageCostModel",

@@ -17,9 +17,10 @@ so readers never observe a half-written entry.
 
 Failure policy: the cache **never raises on a bad entry**.  Corrupted,
 truncated or stale-format files log a warning, count as a miss (and a
-corruption), are deleted, and the stage simply recomputes.  Artifacts
-with no payload encoding are not persisted (debug-logged) and stay
-memory-cache-only.
+corruption), are deleted, and the stage simply recomputes.  A write
+that fails (full disk, I/O error) logs a warning and is dropped; the
+run keeps its in-memory result.  Artifacts with no payload encoding
+are not persisted (debug-logged) and stay memory-cache-only.
 
 Capacity: the cache is size-capped LRU.  Hits bump the entry's mtime;
 when the total size exceeds ``max_bytes`` after a store, the
@@ -51,6 +52,31 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 """Default size cap (256 MiB) — hundreds of full pipeline runs."""
 
 _ENTRY_SUFFIX = ".npz"
+
+
+def _write_atomically(path: Path, data: bytes, prefix: str) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over.
+
+    Readers never observe a half-written file.  On failure the temp
+    file is removed and the ``OSError`` propagates.
+    """
+    fd, tmp_name = tempfile.mkstemp(prefix=prefix, suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_name, path)
+    except OSError:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+def _write_failed(key: str, stage: str, error: OSError) -> None:
+    _log.warning(
+        fmt_kv("diskcache.write_failed", key=key, stage=stage, error=repr(error))
+    )
 
 
 @dataclass(frozen=True)
@@ -149,19 +175,11 @@ class DiskCache:
                 )
             )
             self.clear()
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=".format-", suffix=".tmp", dir=self._root
-        )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(wanted + "\n")
-            os.replace(tmp_name, stamp)
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+            _write_atomically(stamp, f"{wanted}\n".encode("utf-8"), ".format-")
+        except OSError as error:
+            # Unstamped entries are stamped by the next open that can write.
+            _write_failed("format", "", error)
 
     # -- core protocol -----------------------------------------------------
 
@@ -215,12 +233,15 @@ class DiskCache:
         return outputs
 
     def put(self, key: str, outputs: Mapping[str, Any], *, stage: str = "") -> bool:
-        """Persist one stage's outputs; returns False when not persistable.
+        """Persist one stage's outputs; returns False when not persisted.
 
         Unsupported artifact types degrade gracefully: the entry is
         skipped (memory cache still holds it for this process) and a
         debug line records why.  Writes are atomic — a temp file in
-        the destination directory renamed over the final path.
+        the destination directory renamed over the final path.  A
+        failed write (full disk, I/O error, unwritable directory) logs
+        one warning, removes the temp file and is not counted as a
+        store; the caller keeps its in-memory result.
         """
         from repro.serialization import payload_to_bytes
 
@@ -240,20 +261,12 @@ class DiskCache:
                     )
                 )
             return False
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{key[:12]}-", suffix=".tmp", dir=path.parent
-        )
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(raw)
-            os.replace(tmp_name, path)
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _write_atomically(path, raw, f".{key[:12]}-")
+        except OSError as error:
+            _write_failed(key[:12], stage, error)
+            return False
         self._stores += 1
         current_metrics().counter("repro_engine_disk_stores_total").inc()
         if _log.isEnabledFor(10):  # DEBUG

@@ -12,9 +12,14 @@ two phases:
    chains coincide, and decides serial vs parallel + worker count from
    :func:`~repro.engine.hostinfo.available_cpus`;
 2. **execute** — :class:`SweepScheduler` carries the plan out: pool
-   variants fork (``fork`` start method), while duplicates and
-   fully-cached variants replay in the parent against the shared
+   variants run on a fork-context
+   :class:`concurrent.futures.ProcessPoolExecutor`, while duplicates
+   and fully-cached variants replay in the parent against the shared
    cache, never occupying a worker.
+
+The planner decides and the scheduler only executes: a caller that
+wants a particular split builds the :class:`~repro.engine.plan.SweepPlan`
+itself.
 
 Every path makes the same guarantees:
 
@@ -37,28 +42,24 @@ Every path makes the same guarantees:
   concatenate).  Serial and parallel runs therefore produce
   structurally identical traces and identical merged counter totals.
 
-:class:`FanOutExecutor` and :func:`run_many` remain as façades with
-their original signatures and their original *explicit* worker
-semantics — ``workers=3`` means three forks, capped only by variant
-count — because callers of the raw executor are saying how to run,
-not asking.  Cost-model scheduling (CPU clamping, dedup, serial
-fallback) applies on the planned path:
-:func:`repro.analysis.sweep.run_pipeline_variants` and the ``sweep``
-CLI plan first, then hand the plan to a :class:`SweepScheduler`.
+A lost worker fails the sweep loudly.  When a pool process dies — a
+SIGKILL, an out-of-memory kill, an initializer that raises — the
+scheduler raises an :class:`~repro.exceptions.EngineError` naming
+every variant the pool lost.  It does not re-run them in the parent:
+a variant that exhausted a worker's memory could take the parent down
+too, and a quiet serial retry would hide the fault.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.engine.hostinfo import available_cpus
-from repro.engine.plan import PlanEntry, SweepPlan, SweepPlanner
+from repro.engine.plan import SweepPlan
 from repro.exceptions import EngineError
 from repro.obs.context import TraceContext, current_context, use_context
 from repro.obs.log import fmt_kv, get_logger
@@ -74,9 +75,8 @@ from repro.obs.trace import (
 __all__ = [
     "Variant",
     "VariantOutcome",
-    "FanOutExecutor",
     "SweepScheduler",
-    "run_many",
+    "check_variants",
     "derive_seed",
     "derive_seeds",
     "fork_available",
@@ -89,6 +89,8 @@ TaskFn = Callable[[Mapping[str, Any], int], Any]
 
 def fork_available() -> bool:
     """Whether this platform supports the ``fork`` start method."""
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -105,11 +107,12 @@ def derive_seed(base_seed: int, index: int, name: str) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-def derive_seeds(variants: Sequence["Variant"], base_seed: int) -> list[int]:
+def derive_seeds(variants: Sequence[Any], base_seed: int) -> list[int]:
     """Each variant's effective seed: its own, or the derived default.
 
-    The single source of truth shared by the executor and the planner,
-    so a plan's seeds always match what execution will use.
+    The single source of truth for every sweep planner, so a plan's
+    seeds always match what execution will use.  Accepts anything
+    with ``name`` and ``seed`` attributes.
     """
     return [
         variant.seed
@@ -204,7 +207,8 @@ def _invoke(payload: _InvokePayload) -> _InvokeResult:
     return value, wall, os.getpid(), span_payload, child_metrics.snapshot()
 
 
-def _check_variants(variants: Sequence[Variant], caller: str) -> None:
+def check_variants(variants: Sequence[Any], caller: str) -> None:
+    """Reject an empty sweep or one whose variant names repeat."""
     if not variants:
         raise EngineError(f"{caller}: no variants")
     names = [v.name for v in variants]
@@ -230,12 +234,19 @@ class SweepScheduler:
         Module-level callable ``task(params, seed) -> value``; must be
         picklable for parallel plans.
     initializer / initargs:
-        Per-process setup, exactly as :class:`multiprocessing.Pool`
-        takes it.  Runs in every pool worker and — when any variant
-        executes in the parent — once in the parent too, so both
-        lifecycles match serial execution.
+        Per-process setup, exactly as
+        :class:`concurrent.futures.ProcessPoolExecutor` takes it.  Runs
+        in every pool worker and — when any variant executes in the
+        parent — once in the parent too, so both lifecycles match
+        serial execution.
     tracer / metrics:
         Explicit observability sinks; default to the ambient ones.
+
+    A task's own exception propagates unchanged, whichever process
+    raised it.  A pool that loses a worker process (killed, out of
+    memory, or its initializer raised) raises :class:`EngineError`
+    naming the variants that never came back; they are not re-run in
+    the parent, where the same fault could strike the caller.
     """
 
     def __init__(
@@ -253,11 +264,49 @@ class SweepScheduler:
         self._tracer = tracer
         self._metrics = metrics
 
+    def _run_pool(
+        self,
+        workers: int,
+        payloads: dict[int, _InvokePayload],
+        results: list[_InvokeResult | None],
+    ) -> None:
+        """Run ``payloads`` on a fork pool, filling ``results`` by index."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=self._initializer,
+            initargs=self._initargs,
+        ) as pool:
+            try:
+                # A broken pool refuses further submits and fails every
+                # unfinished future; those variants are the lost ones.
+                futures = {}
+                with contextlib.suppress(BrokenProcessPool):
+                    for index, payload in payloads.items():
+                        futures[index] = pool.submit(_invoke, payload)
+                for index, future in futures.items():
+                    with contextlib.suppress(BrokenProcessPool):
+                        results[index] = future.result()
+            except BaseException:
+                # A task raised: drop the variants not yet started.
+                pool.shutdown(cancel_futures=True)
+                raise
+        lost = [payloads[i][3] for i in payloads if results[i] is None]
+        if lost:
+            raise EngineError(
+                f"SweepScheduler.execute: a pool worker died (killed, out "
+                f"of memory, or its initializer raised); lost variants {lost}"
+            )
+
     def execute(
         self, plan: SweepPlan, variants: Sequence[Variant]
     ) -> list[VariantOutcome]:
         """Run ``variants`` as ``plan`` dictates; outcomes in variant order."""
-        _check_variants(variants, "SweepScheduler.execute")
+        check_variants(variants, "SweepScheduler.execute")
         planned = {vp.name: vp for vp in plan.variants}
         missing = [v.name for v in variants if v.name not in planned]
         if missing or len(variants) != len(plan.variants):
@@ -313,18 +362,11 @@ class SweepScheduler:
         ) as run_span:
             results: list[_InvokeResult | None] = [None] * len(payloads)
             if parallel:
-                pool_indices = [i for i, in_pool in enumerate(pooled) if in_pool]
-                context = multiprocessing.get_context("fork")
-                with context.Pool(
-                    processes=workers,
-                    initializer=self._initializer,
-                    initargs=self._initargs,
-                ) as pool:
-                    pool_results = pool.map(
-                        _invoke, [payloads[i] for i in pool_indices]
-                    )
-                for index, result in zip(pool_indices, pool_results):
-                    results[index] = result
+                self._run_pool(
+                    workers,
+                    {i: payloads[i] for i, in_pool in enumerate(pooled) if in_pool},
+                    results,
+                )
             # Everything the pool did not take — all variants in serial
             # mode, duplicates and predicted-cached variants in
             # parallel mode — runs here, after the pool, so replays
@@ -389,103 +431,3 @@ class SweepScheduler:
                 )
             )
         return outcomes
-
-
-class FanOutExecutor:
-    """Runs one task over many variants, in parallel when told to.
-
-    A façade over the plan/execute machinery with **explicit** worker
-    semantics: the requested count is honored exactly, capped only by
-    variant count — no CPU clamping, no cost model.  Sweep-level
-    callers that want scheduling decisions plan with
-    :class:`~repro.engine.plan.SweepPlanner` and execute with
-    :class:`SweepScheduler` directly (see
-    :func:`repro.analysis.sweep.run_pipeline_variants`).
-
-    Parameters
-    ----------
-    task:
-        Module-level callable ``task(params, seed) -> value``.  Must be
-        picklable for ``workers > 1``.
-    workers:
-        Process count.  ``1`` (default) runs serially in-process;
-        ``None`` means one per *available* CPU
-        (:func:`~repro.engine.hostinfo.available_cpus`, which honors
-        the affinity mask).  Requests above 1 degrade to serial (with
-        a warning) when the platform lacks ``fork``.
-    base_seed:
-        Root of the deterministic per-variant seed derivation, used
-        for variants that do not pin their own seed.
-    initializer / initargs:
-        Per-process setup, exactly as :class:`multiprocessing.Pool`
-        takes it — e.g. building the process's cache-backed engine.
-        In serial mode the initializer runs once, in-process, before
-        the first variant, so both modes see the same lifecycle.
-    tracer / metrics:
-        Explicit observability sinks; default to the ambient ones.
-    """
-
-    def __init__(
-        self,
-        task: TaskFn,
-        *,
-        workers: int | None = 1,
-        base_seed: int = 0,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple[Any, ...] = (),
-        tracer: Tracer | NullTracer | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        if workers is None:
-            workers = available_cpus()
-        if workers < 1:
-            raise EngineError(f"FanOutExecutor: workers must be >= 1, got {workers}")
-        self._task = task
-        self._workers = workers
-        self._base_seed = base_seed
-        self._scheduler = SweepScheduler(
-            task,
-            initializer=initializer,
-            initargs=initargs,
-            tracer=tracer,
-            metrics=metrics,
-        )
-
-    @property
-    def workers(self) -> int:
-        """The configured worker count (before any fallback)."""
-        return self._workers
-
-    def run_many(self, variants: Sequence[Variant]) -> list[VariantOutcome]:
-        """Execute every variant; outcomes come back in variant order."""
-        _check_variants(variants, "FanOutExecutor.run_many")
-        seeds = derive_seeds(variants, self._base_seed)
-        plan = SweepPlanner().plan(
-            [
-                PlanEntry(name=variant.name, seed=seed)
-                for variant, seed in zip(variants, seeds)
-            ],
-            workers=self._workers,
-            policy="explicit",
-        )
-        return self._scheduler.execute(plan, variants)
-
-
-def run_many(
-    task: TaskFn,
-    variants: Sequence[Variant],
-    *,
-    workers: int | None = 1,
-    base_seed: int = 0,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple[Any, ...] = (),
-) -> list[VariantOutcome]:
-    """One-shot convenience over :class:`FanOutExecutor`."""
-    executor = FanOutExecutor(
-        task,
-        workers=workers,
-        base_seed=base_seed,
-        initializer=initializer,
-        initargs=initargs,
-    )
-    return executor.run_many(variants)

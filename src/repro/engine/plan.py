@@ -72,10 +72,6 @@ DEFAULT_STAGE_COSTS: Mapping[str, float] = {
 # Cost of a stage the model has never seen anywhere.
 DEFAULT_UNKNOWN_STAGE_SECONDS = 0.05
 
-# Cost of a whole variant when the caller provides no stage keys (the
-# generic run_many path: opaque tasks, no per-stage structure).
-DEFAULT_TASK_SECONDS = 0.1
-
 # Replaying one stage from the disk cache: read + deserialize.
 CACHE_HIT_SECONDS = 0.004
 
@@ -93,13 +89,12 @@ def _marginal_seconds(variants: Sequence["VariantPlan"]) -> list[float]:
     for every later variant that shares it, so a key is priced at the
     first variant that computes it and later variants add only their
     unseen keys.  Replayed and deduplicated variants cost
-    :data:`CACHE_HIT_SECONDS` per stage; opaque variants (no stage
-    keys) are priced whole.
+    :data:`CACHE_HIT_SECONDS` per stage.
     """
     seen: set[str] = set()
     costs = []
     for variant in variants:
-        if not (variant.pool_eligible and variant.stages):
+        if not variant.pool_eligible:
             costs.append(variant.est_seconds)
             continue
         costs.append(
@@ -201,8 +196,6 @@ class VariantPlan:
     @property
     def est_seconds(self) -> float:
         """Predicted wall seconds for this variant as planned."""
-        if not self.stages:
-            return DEFAULT_TASK_SECONDS
         if self.dedup_of is not None or self.fully_cached:
             return CACHE_HIT_SECONDS * len(self.stages)
         return sum(plan.est_seconds for plan in self.stages)
@@ -248,7 +241,6 @@ class SweepPlan:
     cpus: int
     est_serial_seconds: float
     est_parallel_seconds: float
-    policy: str = "cost"
     clamp_reason: str | None = None
     cost_sources: Mapping[str, str] = field(default_factory=dict)
 
@@ -307,13 +299,8 @@ class SweepPlan:
             f"  {'est':>8}  decision"
         )
         for variant, seconds in zip(self.variants, self.marginal_seconds):
-            if variant.stages:
-                hits = sum(
-                    1 for s in variant.stages if s.predicted == "disk"
-                )
-                predicted = f"disk {hits}/{len(variant.stages)}"
-            else:
-                predicted = "unknown"
+            hits = sum(1 for s in variant.stages if s.predicted == "disk")
+            predicted = f"disk {hits}/{len(variant.stages)}"
             if variant.dedup_of is not None:
                 decision = f"dedup -> {variant.dedup_of}"
             elif variant.fully_cached:
@@ -338,14 +325,12 @@ class PlanEntry:
     """Planner input for one variant: identity plus precomputed keys.
 
     ``stage_keys`` maps stage name to cache key in execution order
-    (:func:`repro.engine.executor.precompute_stage_keys` output);
-    ``None`` for opaque tasks with no stage structure — those are
-    never deduped or cache-predicted, only priced.
+    (:func:`repro.engine.executor.precompute_stage_keys` output).
     """
 
     name: str
     seed: int
-    stage_keys: Mapping[str, str] | None = None
+    stage_keys: Mapping[str, str]
 
 
 class SweepPlanner:
@@ -387,19 +372,15 @@ class SweepPlanner:
         entries: Sequence[PlanEntry],
         *,
         workers: int | str | None = None,
-        policy: str = "cost",
     ) -> SweepPlan:
         """Plan one sweep over ``entries``.
 
         ``workers`` is ``"auto"``/``None`` (size from CPUs + cost
-        model) or an explicit upper bound.  ``policy="cost"`` applies
-        CPU clamping, dedup and the serial-vs-parallel comparison;
-        ``policy="explicit"`` preserves the raw executor's contract —
-        the requested count is honored exactly (capped only by variant
-        count), so callers that *mean* N forks get N forks.
+        model) or an explicit upper bound.  The request is clamped to
+        the available CPUs and runnable variants, duplicates are
+        deduped, and the pool is used only when the cost model prices
+        it below a serial run.
         """
-        if policy not in ("cost", "explicit"):
-            raise EngineError(f"SweepPlanner: unknown policy {policy!r}")
         if not entries:
             raise EngineError("SweepPlanner.plan: no entries")
         requested = workers
@@ -415,18 +396,14 @@ class SweepPlanner:
                 f"SweepPlanner: workers must be >= 1, got {workers}"
             )
 
-        variants = self._plan_variants(entries, dedup=policy == "cost")
+        variants = self._plan_variants(entries)
         pool = [v for v in variants if v.pool_eligible]
         replay_cost = CACHE_HIT_SECONDS * sum(
-            len(v.stages) or 1 for v in variants if not v.pool_eligible
+            len(v.stages) for v in variants if not v.pool_eligible
         )
         est_serial = sum(_marginal_seconds(variants))
 
-        if policy == "explicit":
-            chosen = min(workers or 1, len(variants))
-            clamp_reason = None
-        else:
-            chosen, clamp_reason = self._choose_workers(workers, len(pool))
+        chosen, clamp_reason = self._choose_workers(workers, len(pool))
         est_parallel = (
             self._spawn * chosen
             + max(
@@ -437,14 +414,11 @@ class SweepPlanner:
             + replay_cost
         )
 
-        if policy == "explicit":
-            mode = "parallel" if chosen > 1 else "serial"
-        else:
-            mode = (
-                "parallel"
-                if chosen > 1 and est_parallel < est_serial
-                else "serial"
-            )
+        mode = (
+            "parallel"
+            if chosen > 1 and est_parallel < est_serial
+            else "serial"
+        )
         if mode == "serial":
             chosen = 1
 
@@ -459,7 +433,6 @@ class SweepPlanner:
             cpus=self._cpus,
             est_serial_seconds=est_serial,
             est_parallel_seconds=est_parallel,
-            policy=policy,
             clamp_reason=clamp_reason,
             cost_sources={
                 name: self._costs.source(name) for name in stage_names
@@ -481,22 +454,17 @@ class SweepPlanner:
             )
         return plan
 
-    def _plan_variants(
-        self, entries: Sequence[PlanEntry], *, dedup: bool
-    ) -> list[VariantPlan]:
+    def _plan_variants(self, entries: Sequence[PlanEntry]) -> list[VariantPlan]:
         seen: dict[str, str] = {}
         variants: list[VariantPlan] = []
         for entry in entries:
-            stages: tuple[StagePlan, ...] = ()
-            chain: str | None = None
-            if entry.stage_keys is not None:
-                stages = tuple(
-                    self._plan_stage(stage, key)
-                    for stage, key in entry.stage_keys.items()
-                )
-                chain = combine(*[plan.key for plan in stages])
+            stages = tuple(
+                self._plan_stage(stage, key)
+                for stage, key in entry.stage_keys.items()
+            )
+            chain = combine(*[plan.key for plan in stages])
             dedup_of = None
-            if dedup and chain is not None and self._disk is not None:
+            if self._disk is not None:
                 dedup_of = seen.get(chain)
                 if dedup_of is None:
                     seen[chain] = entry.name

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.core.hierarchical import (
@@ -11,6 +13,7 @@ from repro.core.hierarchical import (
     hierarchical_geometric_mean,
     hierarchical_harmonic_mean,
     hierarchical_mean,
+    hierarchical_mean_many,
 )
 from repro.core.means import arithmetic_mean, geometric_mean, harmonic_mean
 from repro.core.partition import Partition
@@ -90,6 +93,23 @@ class TestHierarchicalHarmonicMean:
         assert hierarchical_harmonic_mean(SCORES, partition) == pytest.approx(
             harmonic_mean(list(SCORES.values()))
         )
+
+    def test_tiny_speedup_is_named_not_collapsed_to_zero(self):
+        # It used to warn of an overflow, then report the inner mean's
+        # 0.0 as the offending score.
+        scores = {"a": 1e-320, "b": 1.0, "c": 2.0}
+        partition = Partition([["a", "b"], ["c"]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeasurementError, match="1e-320"):
+                hierarchical_harmonic_mean(scores, partition)
+            with pytest.raises(MeasurementError, match="1e-320"):
+                hierarchical_mean_many(
+                    [[2.0, 8.0, 4.0], list(scores.values())],
+                    list(scores),
+                    partition,
+                    mean="harmonic",
+                )
 
 
 class TestHierarchicalMeanGeneric:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,20 @@ class TestHarmonicMean:
         with pytest.raises(MeasurementError, match="strictly positive"):
             harmonic_mean([0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "values, named",
+        [([1e-320, 1.0, 2.0], "1e-320"), ([1e-308, 1e-308], "1e-308")],
+    )
+    def test_reciprocal_overflow_names_the_score_without_warning(
+        self, values, named
+    ):
+        # A subnormal reciprocal (or a reciprocal sum past the float
+        # range) used to come out as a silent 0 behind a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeasurementError, match=named):
+                harmonic_mean(values)
+
 
 class TestPowerMean:
     def test_exponent_one_is_arithmetic(self):
@@ -161,6 +176,12 @@ class TestWeightedMeans:
     def test_rejects_nan_weight(self):
         with pytest.raises(MeasurementError, match="NaN or infinite"):
             weighted_harmonic_mean([1.0, 2.0], [1.0, float("nan")])
+
+    def test_weighted_harmonic_rejects_reciprocal_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeasurementError, match="1e-320"):
+                weighted_harmonic_mean([1e-320, 1.0, 2.0], [1.0, 1.0, 1.0])
 
 
 class TestMeanRegistry:

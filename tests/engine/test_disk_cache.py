@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import logging
 import os
 
@@ -335,3 +336,84 @@ class TestPipelineEquivalence:
         assert cold.dendrogram == warm.dendrogram
         assert cold.cuts == warm.cuts
         assert cold.recommended_clusters == warm.recommended_clusters
+
+
+
+# (module attribute patched, errno): a full disk at the rename, an I/O
+# error creating the temp file.
+_WRITE_FAULTS = [("os.replace", errno.ENOSPC), ("tempfile.mkstemp", errno.EIO)]
+
+
+class TestWriteFaults:
+    """A failed write degrades to a miss; it never fails the run."""
+
+    @pytest.fixture(params=_WRITE_FAULTS, ids=lambda fault: fault[0])
+    def break_disk(self, request, monkeypatch):
+        """Call to make every later disk-cache write fail."""
+        import repro.engine.diskcache as diskcache
+
+        module, name = request.param[0].split(".")
+
+        def fail(*args, **kwargs):
+            raise OSError(request.param[1], os.strerror(request.param[1]))
+
+        return lambda: monkeypatch.setattr(getattr(diskcache, module), name, fail)
+
+    @pytest.fixture(scope="class")
+    def uncached(self, paper_suite):
+        from repro.analysis.pipeline import WorkloadAnalysisPipeline
+
+        return WorkloadAnalysisPipeline(
+            characterization="sar", machine="A"
+        ).run(paper_suite)
+
+    def test_put_returns_false_and_leaves_no_temp_file(
+        self, tmp_path, break_disk, captured_warnings
+    ):
+        cache = DiskCache(tmp_path / "cache")
+        break_disk()
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            assert cache.put(_key(), _outputs(), stage="s") is False
+        assert cache.info().stores == 0
+        assert registry.counter("repro_engine_disk_stores_total").value == 0
+        leftovers = [
+            p.name for p in (tmp_path / "cache").rglob("*") if p.is_file()
+        ]
+        assert leftovers == ["format"]
+        assert len(captured_warnings) == 1
+        assert "diskcache.write_failed" in captured_warnings[0].getMessage()
+        assert cache.get(_key(), stage="s") is None
+
+    def test_unwritable_format_stamp_is_a_warning(
+        self, tmp_path, break_disk, captured_warnings
+    ):
+        break_disk()
+        cache = DiskCache(tmp_path / "cache")
+        assert list((tmp_path / "cache").iterdir()) == []
+        assert len(captured_warnings) == 1
+        assert cache.put(_key(), _outputs(), stage="s") is False
+
+    def test_pipeline_run_equals_an_uncached_run(
+        self, tmp_path, paper_suite, uncached, break_disk, captured_warnings
+    ):
+        from repro.analysis.pipeline import WorkloadAnalysisPipeline
+
+        registry = MetricsRegistry()
+        engine = PipelineEngine(disk_cache=tmp_path / "cache")
+        break_disk()
+        with use_metrics(registry):
+            result = WorkloadAnalysisPipeline(
+                characterization="sar", machine="A", engine=engine
+            ).run(paper_suite)
+        assert registry.counter("repro_engine_disk_stores_total").value == 0
+        # One warning per stage whose write failed.
+        assert len(captured_warnings) == len(result.run_report.stages)
+        assert np.array_equal(
+            result.prepared_vectors.matrix, uncached.prepared_vectors.matrix
+        )
+        assert np.array_equal(result.som.weights, uncached.som.weights)
+        assert result.positions == uncached.positions
+        assert result.dendrogram == uncached.dendrogram
+        assert result.cuts == uncached.cuts
+        assert result.recommended_clusters == uncached.recommended_clusters

@@ -1,4 +1,4 @@
-"""FanOutExecutor: determinism, parallel/serial equivalence, sweeps."""
+"""SweepScheduler: determinism, parallel/serial equivalence, sweeps."""
 
 from __future__ import annotations
 
@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    FanOutExecutor,
+    PlanEntry,
+    SweepPlanner,
+    SweepScheduler,
     Variant,
     derive_seed,
+    fingerprint,
     fork_available,
-    run_many,
 )
 from repro.exceptions import EngineError
 from repro.obs import Tracer, use_tracer
+from tests.sweep_plans import hand_plan, run_planned
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -28,6 +31,12 @@ def _scaled_draw(params, seed):
 
 def _identity(params, seed):
     return {"params": dict(params), "seed": seed, "pid": os.getpid()}
+
+
+def _fail_when_told(params, seed):
+    if params.get("fail"):
+        raise ValueError("bad variant")
+    return seed
 
 
 class TestDeriveSeed:
@@ -48,13 +57,13 @@ class TestDeriveSeed:
 
 class TestSerialExecution:
     def test_outcomes_in_variant_order(self):
-        outcomes = run_many(
+        outcomes = run_planned(
             _identity, [Variant(f"v{i}") for i in range(4)]
         )
         assert [o.name for o in outcomes] == ["v0", "v1", "v2", "v3"]
 
     def test_explicit_seed_wins_derived_fills_in(self):
-        outcomes = run_many(
+        outcomes = run_planned(
             _scaled_draw,
             [Variant("pinned", seed=7), Variant("derived")],
             base_seed=11,
@@ -63,35 +72,32 @@ class TestSerialExecution:
         assert outcomes[1].seed == derive_seed(11, 1, "derived")
 
     def test_serial_runs_in_parent_process(self):
-        (outcome,) = run_many(_identity, [Variant("only")])
+        (outcome,) = run_planned(_identity, [Variant("only")])
         assert outcome.worker_pid == os.getpid()
         assert outcome.in_parent
 
     def test_initializer_runs_once_before_variants(self):
         ran = []
-        executor = FanOutExecutor(
+        run_planned(
             _identity,
-            workers=1,
+            [Variant("a"), Variant("b")],
             initializer=lambda tag: ran.append(tag),
             initargs=("setup",),
         )
-        executor.run_many([Variant("a"), Variant("b")])
         assert ran == ["setup"]
 
     def test_rejects_empty_and_duplicate_variants(self):
-        with pytest.raises(EngineError):
-            run_many(_identity, [])
+        scheduler = SweepScheduler(_identity)
+        with pytest.raises(EngineError, match="no variants"):
+            scheduler.execute(hand_plan([Variant("a")]), [])
+        doubled = [Variant("same"), Variant("same")]
         with pytest.raises(EngineError, match="duplicate"):
-            run_many(_identity, [Variant("same"), Variant("same")])
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(EngineError):
-            FanOutExecutor(_identity, workers=0)
+            scheduler.execute(hand_plan(doubled), doubled)
 
     def test_spans_cover_run_and_each_variant(self):
         tracer = Tracer()
         with use_tracer(tracer):
-            run_many(_scaled_draw, [Variant("a"), Variant("b")])
+            run_planned(_scaled_draw, [Variant("a"), Variant("b")])
         assert len(tracer.find("fanout.run")) == 1
         variant_spans = tracer.find("fanout.variant")
         assert sorted(s.attributes["variant"] for s in variant_spans) == [
@@ -114,26 +120,34 @@ class TestParallelExecution:
         variants = [
             Variant(f"v{i}", params={"scale": float(i + 1)}) for i in range(5)
         ]
-        serial = run_many(_scaled_draw, variants, workers=1, base_seed=3)
-        parallel = run_many(_scaled_draw, variants, workers=3, base_seed=3)
+        serial = run_planned(_scaled_draw, variants, workers=1, base_seed=3)
+        parallel = run_planned(_scaled_draw, variants, workers=3, base_seed=3)
         for s, p in zip(serial, parallel):
             assert s.seed == p.seed
             assert s.value == p.value  # bitwise: same seed, same arithmetic
 
     def test_parallel_runs_outside_the_parent(self):
-        outcomes = run_many(_identity, [Variant(f"v{i}") for i in range(3)], workers=2)
+        outcomes = run_planned(
+            _identity, [Variant(f"v{i}") for i in range(3)], workers=2
+        )
+        assert [o.name for o in outcomes] == ["v0", "v1", "v2"]
         assert all(o.worker_pid != os.getpid() for o in outcomes)
         assert all(not o.in_parent for o in outcomes)
 
     def test_workers_capped_by_variant_count(self):
-        # 1 variant with 8 workers collapses to serial execution.
-        (outcome,) = run_many(_identity, [Variant("only")], workers=8)
+        # 1 variant with 8 workers on 8 CPUs plans serial execution.
+        entry = PlanEntry(
+            name="only", seed=1, stage_keys={"reduce": fingerprint("only")}
+        )
+        plan = SweepPlanner(cpus=8).plan([entry], workers=8)
+        assert plan.workers == 1
+        (outcome,) = SweepScheduler(_identity).execute(plan, [Variant("only")])
         assert outcome.in_parent
 
     def test_parallel_variant_spans_time_the_task(self):
         tracer = Tracer()
         with use_tracer(tracer):
-            outcomes = run_many(
+            outcomes = run_planned(
                 _scaled_draw, [Variant("a"), Variant("b")], workers=2
             )
         variant_spans = tracer.find("fanout.variant")
@@ -144,6 +158,11 @@ class TestParallelExecution:
             assert span.duration_seconds == pytest.approx(
                 span.attributes["wall_seconds"], rel=0.5, abs=5e-3
             )
+
+    def test_task_exception_propagates_unchanged(self):
+        variants = [Variant("a"), Variant("b", params={"fail": True})]
+        with pytest.raises(ValueError, match="bad variant"):
+            run_planned(_fail_when_told, variants, workers=2)
 
 
 class TestPipelineSweeps:

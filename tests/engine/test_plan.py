@@ -2,9 +2,8 @@
 
 The planner's promises: precomputed stage keys are *exactly* the keys
 execution uses, dedup never drops a unique fingerprint chain, explicit
-worker requests clamp (never error) with a structured warning under
-the cost policy while the ``explicit`` policy honors them verbatim,
-and parallel mode is refused when forking is priced above computing.
+worker requests clamp (never error) with a structured warning, and
+parallel mode is refused when forking is priced above computing.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.engine.hostinfo import available_cpus
 from repro.engine.plan import (
     CACHE_HIT_SECONDS,
     DEFAULT_STAGE_COSTS,
-    DEFAULT_TASK_SECONDS,
     DEFAULT_UNKNOWN_STAGE_SECONDS,
     PlanEntry,
     StageCostModel,
@@ -175,16 +173,6 @@ class TestDedup:
         )
         assert plan.deduped == ()
 
-    def test_explicit_policy_never_dedups(self, tmp_path):
-        keys = {"stage_a": fingerprint("same")}
-        plan = SweepPlanner(disk_cache=DiskCache(tmp_path), cpus=4).plan(
-            _entries({"one": (1, keys), "two": (2, keys)}),
-            workers=2,
-            policy="explicit",
-        )
-        assert plan.deduped == ()
-        assert plan.workers == 2
-
 
 class TestWorkerChoice:
     def test_clamps_to_available_cpus_with_warning(self, caplog):
@@ -224,25 +212,15 @@ class TestWorkerChoice:
         assert plan.workers == 4
         assert plan.est_parallel_seconds < plan.est_serial_seconds
 
-    def test_explicit_policy_honors_request_beyond_cpus(self):
-        entries = _entries(
-            {f"v{i}": (i, None) for i in range(3)}
-        )
-        plan = SweepPlanner(cpus=1).plan(entries, workers=3, policy="explicit")
-        assert plan.workers == 3
-        assert plan.mode == "parallel"
-        assert plan.clamp_reason is None
-
     def test_bad_inputs_raise(self):
         planner = SweepPlanner(cpus=1)
+        entry = PlanEntry(name="v", seed=1, stage_keys={"reduce": fingerprint(1)})
         with pytest.raises(EngineError, match="no entries"):
             planner.plan([])
         with pytest.raises(EngineError, match="workers"):
-            planner.plan([PlanEntry(name="v", seed=1)], workers=0)
-        with pytest.raises(EngineError, match="policy"):
-            planner.plan([PlanEntry(name="v", seed=1)], policy="vibes")
+            planner.plan([entry], workers=0)
         with pytest.raises(EngineError, match="auto"):
-            planner.plan([PlanEntry(name="v", seed=1)], workers="turbo")
+            planner.plan([entry], workers="turbo")
 
 
 def _linkage_sweep(count):
@@ -331,14 +309,6 @@ class TestCachePrediction:
         assert not by_name["hit"].pool_eligible
         assert not by_name["miss"].fully_cached
         assert plan.cached == (by_name["hit"],)
-
-    def test_opaque_entries_are_priced_but_never_cached(self):
-        plan = SweepPlanner(cpus=1).plan(
-            [PlanEntry(name="opaque", seed=1)]
-        )
-        (variant,) = plan.variants
-        assert not variant.fully_cached
-        assert variant.est_seconds == DEFAULT_TASK_SECONDS
 
     def test_rows_add_up_with_cached_and_deduped_variants(self, tmp_path):
         cache = DiskCache(tmp_path)

@@ -24,10 +24,10 @@ from repro.engine.fanout import (
     Variant,
     derive_seed,
 )
-from repro.engine.plan import PlanEntry, SweepPlanner
 from repro.exceptions import EngineError
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.workloads.suite import BenchmarkSuite
+from tests.sweep_plans import hand_plan
 
 
 @pytest.fixture(scope="module")
@@ -160,17 +160,13 @@ class TestModes:
 
 class TestSchedulerContract:
     def test_plan_and_variants_must_agree(self):
-        plan = SweepPlanner(cpus=1).plan(
-            [PlanEntry(name="known", seed=1)], policy="explicit"
-        )
+        plan = hand_plan([Variant(name="known")])
         scheduler = SweepScheduler(lambda params, seed: seed)
         with pytest.raises(EngineError, match="plan covers"):
             scheduler.execute(plan, [Variant(name="unknown")])
 
     def test_scheduler_uses_plan_seeds(self):
-        plan = SweepPlanner(cpus=1).plan(
-            [PlanEntry(name="only", seed=123)], policy="explicit"
-        )
+        plan = hand_plan([Variant(name="only", seed=123)])
         scheduler = SweepScheduler(lambda params, seed: seed)
         (outcome,) = scheduler.execute(plan, [Variant(name="only")])
         assert outcome.seed == 123

@@ -18,7 +18,7 @@ from repro.analysis.sweep import (
     plan_pipeline_variants,
     run_pipeline_variants,
 )
-from repro.engine.fanout import Variant, fork_available, run_many
+from repro.engine.fanout import Variant, fork_available
 from repro.engine.plan import StageCostModel
 from repro.obs import (
     MetricsRegistry,
@@ -30,6 +30,7 @@ from repro.obs import (
     use_tracer,
 )
 from repro.workloads.suite import BenchmarkSuite
+from tests.sweep_plans import run_planned
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +53,7 @@ def _traced_fan_out(workers):
         MetricsRegistry()
     ):
         with tracer.span("sweep.run"):
-            run_many(_spanning_task, variants, workers=workers, base_seed=5)
+            run_planned(_spanning_task, variants, workers=workers, base_seed=5)
     return tracer, context
 
 
@@ -88,7 +89,7 @@ class TestSweepPropagation:
     def test_untraced_context_free_sweep_stays_unstamped(self):
         tracer = Tracer()
         with use_tracer(tracer), use_metrics(MetricsRegistry()):
-            run_many(
+            run_planned(
                 _spanning_task,
                 [Variant("v0")],
                 workers=2,

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.engine.fanout import Variant, fork_available, run_many
+from repro.engine.fanout import Variant, fork_available
 from repro.exceptions import ReproError
 from repro.obs import (
     MetricsRegistry,
@@ -24,6 +24,7 @@ from repro.obs import (
     use_metrics,
     use_tracer,
 )
+from tests.sweep_plans import run_planned
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -64,7 +65,7 @@ def _fan_out(workers):
     tracer, metrics = Tracer(), MetricsRegistry()
     variants = [Variant(f"v{i}", params={"items": i + 1}) for i in range(3)]
     with use_tracer(tracer), use_metrics(metrics):
-        outcomes = run_many(_traced_task, variants, workers=workers, base_seed=5)
+        outcomes = run_planned(_traced_task, variants, workers=workers, base_seed=5)
     return tracer, metrics, outcomes
 
 
@@ -228,5 +229,5 @@ class TestSerialParallelEquivalence:
         metrics = MetricsRegistry()
         variants = [Variant(f"v{i}") for i in range(2)]
         with use_metrics(metrics):
-            run_many(_traced_task, variants, workers=2)
+            run_planned(_traced_task, variants, workers=2)
         assert metrics.as_dict()["task_runs_total"] == 2
