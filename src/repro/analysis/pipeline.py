@@ -47,7 +47,11 @@ from repro.core.stages import ScoreCutsStage
 from repro.data.table3 import SPEEDUP_TABLE
 from repro.engine.executor import PipelineEngine, RunReport, run_single
 from repro.engine.stage import Stage
-from repro.exceptions import CharacterizationError, MeasurementError
+from repro.exceptions import (
+    CharacterizationError,
+    MeasurementError,
+    SuiteError,
+)
 from repro.obs.trace import current_tracer
 from repro.som.som import SelfOrganizingMap, SOMConfig
 from repro.som.stages import SOMReduceStage
@@ -135,11 +139,12 @@ class WorkloadAnalysisPipeline:
         SOM training mode: ``"sequential"`` (the paper's algorithm,
         default) or ``"batch"`` (deterministic Kohonen batch update).
     som_bmu_strategy:
-        Batch-mode BMU search arithmetic: ``"exact"`` (default,
-        golden-pinned) or ``"pruned"`` (tolerance-bounded fast path
-        for large suites; see :mod:`repro.som.bmu_fast`).  A
-        non-default strategy joins the reduce stage's cache params,
-        so exact and pruned artifacts never alias.
+        Batch-mode update arithmetic: ``"exact"`` (default, bitwise
+        the reference batch loop) or ``"pruned"`` (grouped update,
+        within ~1e-13 of exact); both search BMUs with
+        :mod:`repro.som.bmu_fast`.  A non-default strategy joins the
+        reduce stage's cache params, so exact and pruned artifacts
+        never alias.
 
     Example
     -------
@@ -308,6 +313,11 @@ class WorkloadAnalysisPipeline:
 
     def run(self, suite: BenchmarkSuite) -> AnalysisResult:
         """Execute the stage graph on the engine and bundle the artifacts."""
+        if len(suite) < 2:
+            raise SuiteError(
+                f"pipeline: suite {suite.name!r} has {len(suite)} workload; "
+                "an analysis needs at least 2 workloads to compare"
+            )
         self._check_speedup_coverage(suite)
         with current_tracer().span(
             "pipeline.run",

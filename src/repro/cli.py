@@ -12,8 +12,9 @@ Installed as ``repro-hmeans``.  Subcommands:
   (``--stats`` prints the engine's per-stage instrumentation;
   ``--cache-dir`` persists stage outputs so re-runs skip them;
   ``--som-mode batch`` trains the SOM with the deterministic batch
-  rule; ``--bmu-strategy pruned`` swaps in the tolerance-bounded fast BMU
-  search for large suites, see ``docs/PERFORMANCE.md``).
+  rule, whose BMU search is always the bound-pruned one;
+  ``--bmu-strategy pruned`` swaps only its update for the grouped,
+  tolerance-bounded one, see ``docs/PERFORMANCE.md``).
 * ``sweep`` — re-run the analysis across several linkage rules, with
   unchanged upstream stages computed once and served from cache.
   Sweeps are planned before they run (see ``docs/SCHEDULING.md``):
@@ -127,8 +128,8 @@ def _build_pipeline(args: argparse.Namespace) -> WorkloadAnalysisPipeline:
     bmu_strategy = getattr(args, "bmu_strategy", "exact")
     if bmu_strategy != "exact" and som_mode != "batch":
         raise ReproError(
-            "--bmu-strategy pruned requires --som-mode batch (sequential "
-            "training searches one sample at a time; nothing to prune)"
+            "--bmu-strategy pruned requires --som-mode batch (it picks "
+            "the batch update's arithmetic; sequential training has none)"
         )
     if args.characterization in ("methods", "micro"):
         return WorkloadAnalysisPipeline(
@@ -743,11 +744,10 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--bmu-strategy",
                 choices=("exact", "pruned"),
                 default="exact",
-                help="batch SOM BMU search arithmetic: 'exact' (default, "
-                "golden-pinned) or 'pruned' (projected lower-bound "
-                "pre-filter + grouped update; tolerance-bounded, ~5x "
-                "faster reduce stage on 1000-workload suites; requires "
-                "--som-mode batch)",
+                help="batch SOM update arithmetic: 'exact' (default, "
+                "bitwise the reference batch loop) or 'pruned' (grouped "
+                "per-BMU update, within ~1e-13 of exact); both use the "
+                "bound-pruned BMU search; requires --som-mode batch",
             )
 
     sweep = subparsers.add_parser(

@@ -32,6 +32,8 @@ __all__ = [
     "MEAN_FUNCTIONS",
 ]
 
+_FLOAT_TINY = float(np.finfo(float).tiny)
+
 
 def _validate_scores(
     values: Sequence[float] | np.ndarray,
@@ -144,7 +146,17 @@ def power_mean(values: Sequence[float] | np.ndarray, exponent: float) -> float:
     if abs(exponent) < 1e-10:
         return float(math.exp(np.log(array).mean()))
     if abs(exponent) >= 1e-4:
-        return float(np.mean(array**exponent) ** (1.0 / exponent))
+        with np.errstate(over="ignore", under="ignore"):
+            total = float(np.mean(array**exponent))
+        # Past the float range x**p overflows to inf (the mean then
+        # collapses to 0 for p < 0), or every power underflows.
+        if not _FLOAT_TINY <= total < math.inf:
+            worst = float(array.min() if exponent < 0 else array.max())
+            raise MeasurementError(
+                f"power_mean: score {worst!r} raised to {exponent!r} "
+                "leaves the float range; the mean would come out as 0 or inf"
+            )
+        return float(total ** (1.0 / exponent))
     # Near zero the direct formula collapses x**p to 1.0 and the whole
     # mean to 1; the expm1/log1p route keeps the limit toward the
     # geometric mean accurate.

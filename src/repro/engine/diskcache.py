@@ -117,7 +117,13 @@ class DiskCache:
         self._stores = 0
         self._evictions = 0
         self._corruptions = 0
-        self._root.mkdir(parents=True, exist_ok=True)
+        try:
+            self._root.mkdir(parents=True, exist_ok=True)
+        except OSError as error:
+            raise EngineError(
+                f"DiskCache: cannot create cache directory {str(root)!r} "
+                f"({error.strerror or error})"
+            ) from None
         self._check_format_stamp()
 
     # -- layout ------------------------------------------------------------
@@ -163,6 +169,11 @@ class DiskCache:
             found = stamp.read_text(encoding="utf-8").strip()
         except FileNotFoundError:
             found = None
+        except OSError as error:
+            raise EngineError(
+                f"DiskCache: cannot read format stamp {str(stamp)!r} "
+                f"({error.strerror or error})"
+            ) from None
         if found == wanted:
             return
         if found is not None:

@@ -9,9 +9,12 @@ weighted sample count and sample sum per unit:
 followed by an *apply* step ``w_u = numerator[u] / totals[u]`` for
 every active unit.  Both batch strategies of
 :class:`~repro.som.som.SelfOrganizingMap` run an epoch the same way:
-search the BMUs, compute the terms with :func:`exact_epoch_terms`
-(exact strategy) or a :class:`GroupedEpochTerms` instance (pruned
-strategy), and hand them to :func:`apply_epoch_terms`.
+search the BMUs with the fit's one
+:class:`~repro.som.bmu_fast.PrunedBMUSearch` (bitwise the dense
+search's indices), compute the terms, and hand them to
+:func:`apply_epoch_terms`.  The strategy picks only the terms
+arithmetic: :func:`exact_epoch_terms` (exact) or a
+:class:`GroupedEpochTerms` instance (pruned).
 
 Determinism contract: :func:`exact_epoch_terms` followed by
 :func:`apply_epoch_terms` is the golden-pinned batch epoch — kernel
@@ -84,8 +87,8 @@ class GroupedEpochTerms:
     kernel table, ``counts[b]`` the number of samples mapped to unit
     ``b`` and ``sums[b]`` their vector sum.  Mathematically identical
     to the exact terms; numerically a reordering of the same additions
-    (observed relative error ~1e-13), which is why it backs the
-    tolerance-bounded ``pruned`` strategy and never the exact path.
+    (observed relative error ~1e-13), which is why it is the
+    tolerance-bounded ``pruned`` strategy and never the exact one.
 
     Between consecutive epochs few samples change BMU, so the grouped
     ``(counts | sums)`` matrix is maintained incrementally when fewer

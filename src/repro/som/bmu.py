@@ -1,7 +1,9 @@
 """Row-independent best-matching-unit search.
 
-:func:`bmu_indices` is the exact BMU search of batch training and of
-:meth:`~repro.som.som.SelfOrganizingMap.project`.  It evaluates the
+:func:`bmu_indices` is the dense BMU search: the one
+:meth:`~repro.som.som.SelfOrganizingMap.project` and the quality gauges
+run, and the one whose indices batch training's pruned search
+(:mod:`repro.som.bmu_fast`) returns bit for bit.  It evaluates the
 cross terms with numpy's raw ``c_einsum`` kernel rather than a
 BLAS-backed ``matrix @ weights.T``, whose blocking and threading
 strategy depends on the operand shapes.  The einsum kernel accumulates
@@ -12,9 +14,9 @@ same answers as the same rows of a full-matrix call (pinned by
 ``tests/som/test_bmu_invariance.py``).
 
 The kernel is kept for two reasons.  The golden batch fixtures were
-recorded with it, and the pruned search of :mod:`repro.som.bmu_fast`
-scores its shortlists with the same einsum so its winners match this
-search bit for bit.
+recorded with it, and the pruned search scores its shortlists with the
+same einsum, and falls back to this function for whole calls, so its
+winners match this search bit for bit.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
-"""Pruned best-matching-unit search for large batch-SOM fits.
+"""The best-matching-unit search of batch SOM training.
 
-The exact search in :mod:`repro.som.bmu` scores every (sample, unit)
+The dense search in :mod:`repro.som.bmu` scores every (sample, unit)
 pair: ``S * U`` inner products of length ``D`` per epoch.  At the
-paper's 13x21 suite that is noise; at the ROADMAP's 1000+ workloads it
-is ~97% of pipeline wall time.  This module prunes that product space
-with a projected lower bound so the exact kernel only runs on a
-shortlist, cutting the batch reduce stage by ~5x at 1000x64 while
-agreeing with the exact search on every BMU in practice.
+paper's 13x21 suite that is noise; at 1000 workloads of 500 counters
+it was ~95% of the analysis.  This module prunes that product space
+with a projected lower bound so the dense kernel only runs on a
+shortlist, and returns the dense search's indices bit for bit.  Every
+batch fit searches through it, whatever its ``bmu_strategy``.
 
 The bound
 ---------
@@ -29,24 +29,56 @@ to the projected weight) folds the whole right-hand side into a single
 ``B[s, u] = ||x_s||^2 - lb2(x_s, w_u)`` for every pair.
 
 The search then probes ``cand0 = argmax(B, axis=1)`` — the unit with
-the *tightest* bound — scores it exactly, and keeps only units whose
-bound cannot rule them out against that exact score (plus a relative
-margin absorbing float32 rounding).  Rows where the probe is the sole
-survivor are done; the rest score their shortlist with the exact
-einsum kernel and take the first minimum, preserving the exact
-search's lowest-index tie-break (every distance-tied unit passes the
-threshold, because its bound is at or below the minimum).
+the *tightest* bound — scores it densely, and keeps only units whose
+bound cannot rule them out against that score plus a margin.  Rows
+where the probe is the sole survivor are done; the rest score their
+shortlist with the dense einsum kernel and take the first minimum.
 
-Exact-fallback guarantee
-------------------------
+Why the indices are exact
+-------------------------
 
-The bound is conservative: the true BMU always passes the threshold,
-so the shortlist always contains it.  When the bound cannot help at
-all the search falls back to :func:`repro.som.bmu.bmu_indices` for the
-whole call: degenerate shapes (``q < 1``, i.e. rank-starved data, or
-``U <= 8`` where pruning overhead cannot pay), a non-finite bound
-matrix, or a shortlist so large (``> max_share`` of all pairs) that
-segmented scoring would cost more than one dense einsum.  Fallbacks
+Let ``u*`` be the unit the dense search returns: the first minimum of
+the computed scores ``d(u) = ||w_u||^2 - 2 <x, w_u>``.  The shortlist
+scores are those same floats (the same einsum reduction over the
+features), so ``u*`` wins the shortlist, ties included, as soon as it is
+kept; no lower-index unit can tie it there, or the dense search would
+have returned that one.  It remains to show the threshold keeps
+``u*``.  Write ``t(u)`` for the true squared distance of the stored
+vectors.  The margin has two terms:
+
+* **Float32 bound.**  The GEMM rounds ``B`` at the scale of the
+  *centered* norms.  A relative slack ``margin * (||x_c||^2 +
+  max ||w_c||^2 + probe score)`` (``margin = 1e-4``, some 1,000 float32
+  ulps) covers it: no unit's computed bound exceeds its true distance
+  ``t(u)`` by that much.
+* **Dense rounding.**  The dense scores round at the scale of the
+  *uncentered* norms.  With machine epsilon ``eps`` and
+  ``N = ||x||^2 + 2 max ||w||^2``, a length-``D`` dot product is off
+  by at most ``D * eps/2 * ||x|| ||w||``, the weight norm by
+  ``D * eps/2 * ||w||^2`` and the subtraction by one more half ulp, so
+  each ``d(u)`` is within ``(D + 1) * eps/2 * N`` of its exact value
+  (using ``2 ||x|| ||w|| <= ||x||^2 + ||w||^2``).  The probe's score
+  ``d(cand0) + ||x||^2`` adds the sample norm's rounding and a last
+  half ulp: it is within ``(2D + 3) * eps/2 * N`` of ``t(cand0)``.
+  Since ``d(u*) <= d(cand0)``, ``t(u*)`` exceeds the computed probe
+  score by at most ``(2D + 5/2) * eps * N``, which the term
+  ``2 (D + 2) * eps * N`` covers with second-order terms to spare.
+
+On centered data the second term is negligible (2e-13 of the norms
+at 500 features, against 1e-4 for the first).  It matters when the
+data sit at a large common offset from the origin relative to their
+spread, where two near-tied units can swap order in the dense scores.
+There the threshold grows with the offset until the shortlist covers
+most pairs and the whole call falls back to the dense search.
+
+Whole-call fallback
+-------------------
+
+The search hands the whole call to :func:`repro.som.bmu.bmu_indices`
+when pruning cannot pay or cannot help: rank-starved data (``q < 2``:
+a one-dimensional projection bounds too loosely), calls below
+``_MIN_PRUNED_PAIRS`` sample-unit pairs, a non-finite threshold, or a
+shortlist covering more than ``max_share`` of all pairs.  Fallbacks
 are exact by construction and counted in the search stats.
 """
 
@@ -71,6 +103,18 @@ except ImportError:  # pragma: no cover - other numpy layouts
 # what makes the (data pointer, shape) cache key safe — the buffer
 # cannot be freed and reallocated under a live key.
 _PREP_CACHE_LIMIT = 64
+
+_EPS = float(np.finfo(np.float64).eps)
+
+# Whole-call exact fallback below this many (sample, unit) pairs: the
+# prefilter's fixed per-call cost (a dozen numpy passes) only pays once
+# the dense search has this much to do.  Measured on whole batch fits
+# (one BLAS thread): at 12,000 pairs and fewer the search lost or tied
+# at 8 to 64 features (it won only at 500 features); from 16,200 pairs
+# on it tied at 16 features and won from 32 (200 samples x 81 units:
+# 0.84x the dense fit at 32 features, 0.63x at 100).  The table is in
+# docs/PERFORMANCE.md.
+_MIN_PRUNED_PAIRS = 16_000
 
 
 def bmu_indices_among(
@@ -98,8 +142,9 @@ def bmu_indices_among(
 class PrunedBMUSearch:
     """Batch BMU search with a projected lower-bound pre-filter.
 
-    Called as ``search(weights, matrix) -> bmus`` once per batch epoch
-    of a ``bmu_strategy="pruned"`` fit.  Stateless across epochs (the
+    Called as ``search(weights, matrix) -> bmus`` once per epoch of
+    every batch fit; returns :func:`~repro.som.bmu.bmu_indices`'s
+    indices bit for bit.  Stateless across epochs (the
     probe threshold is recomputed from the current weights every call),
     so results are independent of call history; only the per-matrix
     projection and the statistics counters persist.
@@ -115,9 +160,9 @@ class PrunedBMUSearch:
         data a rank of 8 already saturates.
     margin:
         Relative slack added to the keep threshold to absorb float32
-        rounding in the bound matrix.  Large enough that no true BMU
-        is ever dropped for fits on float64 data of sane magnitude;
-        small enough that shortlists stay tiny.
+        rounding in the bound matrix (the dense scores' own rounding
+        gets a separate term, see the module docstring).  Small
+        enough that shortlists stay tiny.
     max_share:
         Whole-call exact fallback triggers when the shortlist would
         cover more than this share of all (sample, unit) pairs.
@@ -277,7 +322,13 @@ class PrunedBMUSearch:
             0.0,
         )
         sq_centered_x = prep["sq_centered"]
-        margin_term = self.margin * (
+        # Relative slack for the float32 bound plus the dense scores'
+        # worst-case rounding at the scale of the uncentered norms (see
+        # "Why the indices are exact" in the module docstring).
+        dense_error = 2.0 * (matrix.shape[1] + 2) * _EPS * (
+            prep["sq_norms"] + 2.0 * float(sq_norms_w.max())
+        )
+        margin_term = dense_error + self.margin * (
             sq_centered_x + float(np.abs(sq_centered_w).max()) + exact_probe
         )
         neg_thr = ((sq_centered_x - exact_probe) - margin_term).astype(
@@ -293,8 +344,9 @@ class PrunedBMUSearch:
         self.calls += 1
         self.pair_total += samples * units
         q = min(self.rank, dim - 1, samples)
-        if q < 1 or units <= 8:
-            # Rank-starved data or a map too small for pruning to pay.
+        if q < 2 or samples * units < _MIN_PRUNED_PAIRS:
+            # Rank-starved data (a one-dimensional projection bounds too
+            # loosely to pay) or a call too small for pruning to pay.
             self.exhaustive += samples * units
             self.fallbacks += 1
             return bmu_indices(matrix, weights)

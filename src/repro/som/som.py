@@ -24,7 +24,7 @@ from __future__ import annotations
 import inspect
 import time
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from repro.obs.log import fmt_kv, get_logger
 from repro.obs.metrics import current_metrics
 from repro.obs.trace import current_tracer
 from repro.som.batch import (
+    EpochTerms,
     GroupedEpochTerms,
     apply_epoch_terms,
     exact_epoch_terms,
@@ -246,12 +247,14 @@ class SelfOrganizingMap:
         batch rule, useful when bit-for-bit reproducibility across
         sample orderings matters.
 
-        ``bmu_strategy`` (batch mode only) selects the per-epoch
-        search/update arithmetic: ``"exact"`` (default, golden-pinned,
-        bitwise stable) or ``"pruned"`` — the tolerance-bounded fast
-        path of :mod:`repro.som.bmu_fast` plus the grouped batch
-        update, for large suites where the exact search dominates.
-        Pruned-fit search statistics land on :attr:`bmu_stats` and the
+        Every batch fit finds its BMUs with the bound-pruned search of
+        :mod:`repro.som.bmu_fast`, which returns the dense search's
+        indices bit for bit.  ``bmu_strategy`` (batch mode only) picks
+        only the epoch-update arithmetic: ``"exact"`` (default,
+        bitwise the reference batch loop) or ``"pruned"`` — the grouped
+        update of :class:`~repro.som.batch.GroupedEpochTerms`, faster
+        on large suites and within ~1e-13 of exact.  Search statistics
+        land on :attr:`bmu_stats` and the
         ``repro_som_bmu_candidates_total`` /
         ``repro_som_bmu_pruned_total`` metrics.
 
@@ -590,23 +593,23 @@ class SelfOrganizingMap:
             )
         if bmu_strategy != "exact" and mode != "batch":
             raise SOMError(
-                "SOM: bmu_strategy='pruned' is a batch-mode fast path; "
-                "sequential training searches one sample at a time and "
-                "has nothing to prune"
+                "SOM: bmu_strategy='pruned' selects the batch update's "
+                "arithmetic; sequential training has no batch update"
             )
 
     @property
     def bmu_stats(self) -> "dict[str, Any] | None":
-        """Pruned-search statistics of the last fit, or None.
+        """BMU-search statistics of the last batch fit, or None.
 
-        Populated only by ``bmu_strategy="pruned"`` fits: calls, candidate/exhaustive
-        exact evaluations, pruned pair count and pruning rate — the
-        numbers behind the ``repro_som_bmu_*_total`` metrics.
+        Populated by every batch fit (``None`` after a sequential one):
+        calls, candidate/exhaustive exact evaluations, whole-call
+        fallbacks, pruned pair count and pruning rate — the numbers
+        behind the ``repro_som_bmu_*_total`` metrics.
         """
         return None if self._bmu_stats is None else dict(self._bmu_stats)
 
     def _emit_bmu_metrics(self, metrics: Any) -> None:
-        """Publish pruning counters once per fit (no-op for exact)."""
+        """Publish pruning counters once per fit (no-op for sequential)."""
         stats = self._bmu_stats
         if not stats:
             return
@@ -629,16 +632,15 @@ class SelfOrganizingMap:
         assert self._weights is not None
         denominator = max(epochs - 1, 1)
         tracer = current_tracer()
-        pruned_search: PrunedBMUSearch | None = None
-        grouped_terms: GroupedEpochTerms | None = None
-        if bmu_strategy == "pruned":
-            pruned_search = PrunedBMUSearch()
-            grouped_terms = GroupedEpochTerms()
+        search = PrunedBMUSearch()
+        epoch_terms = (
+            exact_epoch_terms if bmu_strategy == "exact" else GroupedEpochTerms()
+        )
         for epoch in range(epochs):
             if tracer.enabled:
                 with tracer.span("som.epoch", epoch=epoch) as span:
                     self._batch_epoch(
-                        matrix, epoch / denominator, pruned_search, grouped_terms
+                        matrix, epoch / denominator, search, epoch_terms
                     )
                     # Opt-in, as in sequential mode: per-epoch quality
                     # costs a full distance pass.
@@ -651,41 +653,35 @@ class SelfOrganizingMap:
                     else:
                         span.set(quantization_error_skipped=True)
             else:
-                self._batch_epoch(
-                    matrix, epoch / denominator, pruned_search, grouped_terms
-                )
+                self._batch_epoch(matrix, epoch / denominator, search, epoch_terms)
         self._epochs_trained = epochs
-        if pruned_search is not None:
-            self._bmu_stats = pruned_search.stats()
+        self._bmu_stats = search.stats()
 
     def _batch_epoch(
         self,
         matrix: np.ndarray,
         progress: float,
-        pruned_search: PrunedBMUSearch | None,
-        grouped_terms: GroupedEpochTerms | None,
+        search: PrunedBMUSearch,
+        epoch_terms: Callable[..., EpochTerms],
     ) -> None:
         """One deterministic Kohonen batch update: search, terms, apply.
 
-        The exact strategy is :func:`bmu_indices` then
-        :func:`exact_epoch_terms` (the golden-pinned op sequence); the
-        pruned strategy swaps in the pruned search and the grouped
-        update, both set up by :meth:`_fit_batch`.
+        Both strategies search with the fit's one
+        :class:`~repro.som.bmu_fast.PrunedBMUSearch`, whose indices are
+        bitwise those of :func:`~repro.som.bmu.bmu_indices`; the
+        strategy picks only the terms arithmetic, set up by
+        :meth:`_fit_batch`: :func:`exact_epoch_terms` (the
+        golden-pinned op sequence) or a :class:`GroupedEpochTerms`.
         """
         weights = self._weights
         assert weights is not None
-        if pruned_search is not None:
-            bmus = pruned_search(weights, matrix)
-        else:
-            bmus = bmu_indices(matrix, weights)
-        epoch_terms = exact_epoch_terms if grouped_terms is None else grouped_terms
         terms = epoch_terms(
             weights,
             matrix,
             kernel=self._kernel,
             sq_table=self._grid.squared_distance_table,
             sigma=self._sigma(progress),
-            bmus=bmus,
+            bmus=search(weights, matrix),
         )
         apply_epoch_terms(weights, terms)
 

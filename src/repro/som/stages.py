@@ -68,7 +68,7 @@ class SOMReduceStage(Stage):
 
     @property
     def bmu_strategy(self) -> str:
-        """The BMU search strategy (``"exact"`` or ``"pruned"``)."""
+        """The batch update arithmetic (``"exact"`` or ``"pruned"``)."""
         return self._bmu_strategy
 
     @property

@@ -28,6 +28,23 @@ class TestTinySuites:
         assert [cut.clusters for cut in result.cuts] == [2]
         assert result.recommended_clusters == 2
 
+    @pytest.mark.parametrize("characterization", ["micro", "methods"])
+    def test_one_workload_suite_is_too_small(
+        self, paper_suite, characterization
+    ):
+        """One workload used to fail deep in preprocessing as "every
+        feature is constant"; the pipeline now says what is wrong."""
+        from repro.exceptions import SuiteError
+
+        lone = paper_suite.subset(["SciMark2.FFT"])
+        pipeline = WorkloadAnalysisPipeline(
+            characterization=characterization,
+            machine=None,
+            som_config=FAST_SOM,
+        )
+        with pytest.raises(SuiteError, match="at least 2 workloads"):
+            pipeline.run(lone)
+
     def test_single_source_suite(self, paper_suite):
         """A suite with one source suite (no alignment group of >= 2
         foreign workloads is detectable for jvm98-only members)."""

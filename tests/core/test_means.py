@@ -133,6 +133,32 @@ class TestPowerMean:
         with pytest.raises(MeasurementError, match="finite"):
             power_mean([1.0], float("nan"))
 
+    @pytest.mark.parametrize(
+        "values, exponent, named",
+        [
+            ([1e-320, 1.0, 2.0], -1.0, "1e-320"),
+            ([1e-320, 1.0, 2.0], -2.0, "1e-320"),
+            ([1e-200, 1.0], -2.0, "1e-200"),
+            ([1e200, 1.0], 2.0, "1e\\+200"),
+            ([1e200, 1e200], -2.0, "1e\\+200"),
+        ],
+    )
+    def test_power_out_of_float_range_names_the_score_without_warning(
+        self, values, exponent, named
+    ):
+        # x**p past the float range used to come out as a silent 0 or
+        # inf behind a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeasurementError, match=named):
+                power_mean(values, exponent)
+
+    def test_partial_underflow_is_harmless(self):
+        # One power below the float range is negligible in the mean.
+        assert power_mean([1e-200, 1.0], 2.0) == pytest.approx(
+            math.sqrt(0.5)
+        )
+
 
 class TestWeightedMeans:
     def test_uniform_weights_match_plain_arithmetic(self):

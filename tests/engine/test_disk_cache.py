@@ -67,6 +67,19 @@ class TestDiskCacheBasics:
         assert info.entries == 1
         assert info.total_bytes > 0
 
+    def test_uncreatable_root_raises_engine_error(self, tmp_path):
+        blocker = tmp_path / "afile"
+        blocker.write_text("not a directory")
+        root = blocker / "sub"
+        with pytest.raises(EngineError, match="cannot create") as info:
+            DiskCache(root)
+        assert str(root) in str(info.value)
+
+    def test_unreadable_format_stamp_raises_engine_error(self, tmp_path):
+        (tmp_path / "format").mkdir()
+        with pytest.raises(EngineError, match="cannot read format stamp"):
+            DiskCache(tmp_path)
+
     def test_absent_key_is_a_miss(self, tmp_path):
         cache = DiskCache(tmp_path)
         assert cache.get(_key()) is None

@@ -190,6 +190,26 @@ class TestLedgerRecording:
         assert record["command"] == "sweep"
         assert record["exit_code"] == 1
 
+    def test_unusable_cache_dir_recorded_with_exit_code_1(
+        self, tmp_path, capsys
+    ):
+        from repro.obs import RunLedger
+
+        (tmp_path / "afile").write_text("not a directory")
+        ledger_path = tmp_path / "runs.jsonl"
+        argv = [
+            "pipeline", "--machine", "A",
+            "--cache-dir", str(tmp_path / "afile" / "sub"),
+            "--ledger", str(ledger_path),
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "cannot create cache directory" in err
+        assert "Traceback" not in err
+        (record,) = RunLedger(ledger_path).records()
+        assert record["command"] == "pipeline"
+        assert record["exit_code"] == 1
+
 
 class TestObsCommands:
     @pytest.fixture

@@ -16,12 +16,20 @@ Three layers of contract, strongest first:
    exact and identical recommended cluster counts on the paper
    fixtures, not bitwise weights.
 
-Forced-fallback paths (rank-starved data, bound-defeating weights)
-must degrade to the exact search for the whole call and say so in the
-stats.
+Forced-fallback paths (rank-starved data, calls too small to prune,
+bound-defeating weights) must degrade to the exact search for the
+whole call and say so in the stats.  Small random problems sit below
+the search's size rule, so the equality properties run with the rule
+switched off (:func:`_engaged`) to exercise the pruned path itself.
+
+Every batch fit runs this search, whatever its ``bmu_strategy``, so an
+exact-strategy fit on a shape where the search engages must still be
+bitwise the reference batch loop.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -30,12 +38,19 @@ from hypothesis import given, settings
 
 from repro.analysis.sweep import PipelineVariant
 from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.som import bmu_fast
 from repro.som.bmu import bmu_indices
 from repro.som.bmu_fast import PrunedBMUSearch, bmu_indices_among
 from repro.som.grid import Grid
 from repro.som.quality import quantization_error
 from repro.som.som import SOMConfig, SelfOrganizingMap
 from repro.synthetic import big_suite
+from tests.reference_kernels import reference_batch_weights
+
+
+def _engaged():
+    """Switch off the small-call fallback so the bound always runs."""
+    return mock.patch.object(bmu_fast, "_MIN_PRUNED_PAIRS", 0)
 
 
 def _standardized(n_workloads: int, n_dims: int, seed: int = 3) -> np.ndarray:
@@ -66,9 +81,38 @@ class TestIndexEquality:
         """Same winner and same tie-break as the exact search, always."""
         matrix, weights = problem
         search = PrunedBMUSearch()
-        np.testing.assert_array_equal(
-            search(weights, matrix), bmu_indices(matrix, weights)
-        )
+        with _engaged():
+            found = search(weights, matrix)
+        np.testing.assert_array_equal(found, bmu_indices(matrix, weights))
+
+    @given(
+        exponent=st.integers(min_value=0, max_value=12),
+        samples=st.integers(min_value=2, max_value=40),
+        units=st.integers(min_value=9, max_value=30),
+        dim=st.integers(min_value=3, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**16),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equal_under_common_offsets(
+        self, exponent, samples, units, dim, seed, data
+    ):
+        """Far from the origin the dense scores round at the scale of
+        the offset, not of the spread; the keep threshold must cover
+        that rounding so near-tied units still resolve as the dense
+        search resolves them."""
+        rng = np.random.default_rng(seed)
+        offset = 10.0**exponent
+        matrix = rng.normal(size=(samples, dim)) + offset
+        weights = rng.normal(size=(units, dim)) + offset
+        source = data.draw(st.integers(0, units - 1), label="source")
+        twin = data.draw(st.integers(0, units - 1), label="twin")
+        if twin != source:
+            weights[twin] = np.nextafter(weights[source], np.inf)
+        search = PrunedBMUSearch()
+        with _engaged():
+            found = search(weights, matrix)
+        np.testing.assert_array_equal(found, bmu_indices(matrix, weights))
 
     @given(search_problems())
     @settings(max_examples=80, deadline=None)
@@ -149,6 +193,18 @@ class TestFallbacks:
         )
         assert search.fallbacks == 1
 
+    def test_one_dimensional_projection_falls_back(self):
+        """Two features leave a rank-1 bound too loose to pay, even on
+        a call large enough to prune."""
+        rng = np.random.default_rng(14)
+        matrix = rng.normal(size=(1000, 2))
+        weights = rng.normal(size=(169, 2))
+        search = PrunedBMUSearch()
+        np.testing.assert_array_equal(
+            search(weights, matrix), bmu_indices(matrix, weights)
+        )
+        assert search.fallbacks == 1
+
     def test_identical_weights_defeat_the_bound_exactly(self):
         """Every unit ties: the shortlist covers everything, so the
         max_share guard hands the whole call to the exact search."""
@@ -199,9 +255,27 @@ class TestPrunedFit:
         )
         assert snapshot["repro_som_bmu_pruned_total"] == stats["pruned_pairs"]
 
-    def test_exact_fit_has_no_bmu_stats(self, fits):
-        _, exact, _, _ = fits
-        assert exact.bmu_stats is None
+    def test_every_batch_fit_reports_search_stats(self, fits):
+        """Both strategies search through the pruned search and publish
+        its counters; sequential training searches one sample at a time
+        and reports none."""
+        data, exact, pruned, _ = fits
+        for som in (exact, pruned):
+            assert som.bmu_stats["calls"] == som.epochs_trained
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            small = SelfOrganizingMap(SOMConfig(rows=3, columns=3, seed=7))
+            small.fit(data[:20], mode="batch")
+        # 20 x 9 pairs is below the size rule: every call scores densely.
+        assert small.bmu_stats["fallbacks"] == small.epochs_trained
+        assert (
+            registry.as_dict()["repro_som_bmu_candidates_total"]
+            == small.epochs_trained * 20 * 9
+        )
+        sequential = SelfOrganizingMap(
+            SOMConfig(rows=3, columns=3, steps_per_sample=2, seed=7)
+        ).fit(data)
+        assert sequential.bmu_stats is None
 
     def test_strategy_guards(self):
         data = _standardized(30, 8)
@@ -210,6 +284,24 @@ class TestPrunedFit:
             som.fit(data, bmu_strategy="pruned")  # sequential mode
         with pytest.raises(Exception, match="bmu_strategy"):
             som.fit(data, mode="batch", bmu_strategy="fastest")
+
+
+class TestExactFitsOnEngagedShapes:
+    @pytest.mark.parametrize("shape", [(200, 32), (300, 64)])
+    def test_exact_fit_is_the_reference_loop_bitwise(self, shape):
+        """Shapes large enough for the search to prune every epoch: the
+        exact strategy still trains bit for bit like the dense loop."""
+        data = _standardized(*shape)
+        rows, cols = Grid.suggested_shape(shape[0])
+        config = SOMConfig(rows=rows, columns=cols, seed=7)
+        som = SelfOrganizingMap(config).fit(data, mode="batch")
+        assert np.array_equal(
+            som.weights, reference_batch_weights(config, data)
+        )
+        stats = som.bmu_stats
+        assert stats["calls"] == som.epochs_trained
+        assert stats["fallbacks"] == 0
+        assert stats["pruning_rate"] > 0.5
 
 
 class TestPaperPipelineAgreement:
