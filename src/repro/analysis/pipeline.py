@@ -33,17 +33,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from repro.analysis.redundancy import shared_cells
-from repro.analysis.stages import (
-    RecommendStage,
-    analysis_stages,
-    suite_fingerprint,
-)
+from repro.analysis.stages import analysis_stages, suite_fingerprint
 from repro.characterization.base import CharacteristicVectors
-from repro.characterization.stages import CharacterizeStage, PreprocessStage
 from repro.cluster.dendrogram import Dendrogram
-from repro.cluster.stages import ClusterStage
 from repro.core.scoring import ScoredCut
-from repro.core.stages import ScoreCutsStage
 from repro.data.table3 import SPEEDUP_TABLE
 from repro.engine.executor import PipelineEngine, RunReport, run_single
 from repro.engine.stage import Stage
@@ -54,7 +47,6 @@ from repro.exceptions import (
 )
 from repro.obs.trace import current_tracer
 from repro.som.som import SelfOrganizingMap, SOMConfig
-from repro.som.stages import SOMReduceStage
 from repro.workloads.machines import MachineSpec, machine
 from repro.workloads.suite import BenchmarkSuite
 
@@ -238,15 +230,18 @@ class WorkloadAnalysisPipeline:
 
     # -- stages (individually callable, engine-free) -----------------------
 
+    def _run_stage(self, name: str, inputs: Mapping[str, object]) -> dict:
+        """Run the named stage of :meth:`stages` on in-memory inputs.
+
+        Every stage method goes through here, so each one runs exactly
+        the stage :meth:`run` executes (SOM mode and strategy included).
+        """
+        stage = next(stage for stage in self.stages() if stage.name == name)
+        return run_single(stage, inputs)
+
     def characterize(self, suite: BenchmarkSuite) -> CharacteristicVectors:
         """Stage 1: raw characteristic vectors for the suite."""
-        stage = CharacterizeStage(
-            characterization=self._characterization,
-            machine_spec=self._machine,
-            seed=self._seed,
-            custom_characterizer=self._custom_characterizer,
-        )
-        return run_single(stage, {"suite": suite})["raw_vectors"]
+        return self._run_stage("characterize", {"suite": suite})["raw_vectors"]
 
     def preprocess(self, raw: CharacteristicVectors) -> CharacteristicVectors:
         """Stage 2: the paper's feature filtering and standardization.
@@ -255,25 +250,21 @@ class WorkloadAnalysisPipeline:
         constants, standardize), which is safe for any real-valued
         vectors; bit-vector characterizations need ``"methods"``.
         """
-        style = "method-bits" if self._characterization == "methods" else "counters"
-        stage = PreprocessStage(style=style)
-        return run_single(stage, {"raw_vectors": raw})["prepared_vectors"]
+        outputs = self._run_stage("preprocess", {"raw_vectors": raw})
+        return outputs["prepared_vectors"]
 
     def reduce(
         self, prepared: CharacteristicVectors
     ) -> tuple[SelfOrganizingMap, dict[str, tuple[int, int]]]:
         """Stage 3: SOM training and workload-to-cell mapping."""
-        outputs = run_single(
-            SOMReduceStage(self._som_config), {"prepared_vectors": prepared}
-        )
+        outputs = self._run_stage("reduce", {"prepared_vectors": prepared})
         return outputs["som"], outputs["positions"]
 
     def cluster(
         self, positions: Mapping[str, tuple[int, int]]
     ) -> Dendrogram:
         """Stage 4: agglomerative clustering of the 2-D map positions."""
-        stage = ClusterStage(linkage=self._linkage)
-        return run_single(stage, {"positions": positions})["dendrogram"]
+        return self._run_stage("cluster", {"positions": positions})["dendrogram"]
 
     def score_cuts(self, dendrogram: Dendrogram) -> tuple[ScoredCut, ...]:
         """Stage 5: hierarchical geometric means at every cluster count.
@@ -281,10 +272,7 @@ class WorkloadAnalysisPipeline:
         Speedup columns are restricted to the clustered workloads, so
         subset suites score correctly against the full Table III.
         """
-        stage = ScoreCutsStage(
-            speedups=self._speedups, cluster_counts=self._cluster_counts
-        )
-        return run_single(stage, {"dendrogram": dendrogram})["cuts"]
+        return self._run_stage("score_cuts", {"dendrogram": dendrogram})["cuts"]
 
     def recommend(
         self,
@@ -294,12 +282,8 @@ class WorkloadAnalysisPipeline:
         cuts: tuple[ScoredCut, ...],
     ) -> int:
         """Stage 6: the recommended cluster count for scored cuts."""
-        stage = RecommendStage(
-            cluster_counts=self._cluster_counts,
-            alignment_group=self._alignment_group,
-        )
-        outputs = run_single(
-            stage,
+        outputs = self._run_stage(
+            "recommend",
             {
                 "suite": suite,
                 "positions": positions,

@@ -131,18 +131,11 @@ def _build_pipeline(args: argparse.Namespace) -> WorkloadAnalysisPipeline:
             "--bmu-strategy pruned requires --som-mode batch (it picks "
             "the batch update's arithmetic; sequential training has none)"
         )
-    if args.characterization in ("methods", "micro"):
-        return WorkloadAnalysisPipeline(
-            characterization=args.characterization,
-            machine=None,
-            seed=args.seed,
-            engine=engine,
-            som_mode=som_mode,
-            som_bmu_strategy=bmu_strategy,
-        )
+    # Only SAR counters are collected on a machine.
+    machine = args.machine if args.characterization == "sar" else None
     return WorkloadAnalysisPipeline(
-        characterization="sar",
-        machine=args.machine,
+        characterization=args.characterization,
+        machine=machine,
         seed=args.seed,
         engine=engine,
         som_mode=som_mode,

@@ -192,7 +192,7 @@ def hierarchical_mean_many(
         raise MeasurementError(
             "hierarchical_mean_many: scores contain NaN or infinite values"
         )
-    if mean in ("geometric", "harmonic") and not np.all(matrix > 0.0):
+    if not np.all(matrix > 0.0):
         worst = float(matrix.min()) if matrix.size else 0.0
         raise MeasurementError(
             f"{mean}_mean: scores must be strictly positive, found {worst}"

@@ -7,9 +7,11 @@ standard — but subjective — workaround for workload redundancy that
 Section I criticizes.
 
 All functions validate their input strictly: scores must be finite,
-non-empty, and (for the geometric and harmonic families) strictly
-positive, because a benchmark speedup of zero or below has no physical
-meaning and silently poisons a product or a reciprocal sum.
+non-empty and strictly positive.  Speedups are ratios: one of zero or
+below has no physical meaning, silently poisons a product or a
+reciprocal sum, and would let an arithmetic mean cancel a slowdown
+against a fictitious negative.  Every family rejects them alike, as
+the scoring service does.
 """
 
 from __future__ import annotations
@@ -36,12 +38,9 @@ _FLOAT_TINY = float(np.finfo(float).tiny)
 
 
 def _validate_scores(
-    values: Sequence[float] | np.ndarray,
-    *,
-    context: str,
-    require_positive: bool,
+    values: Sequence[float] | np.ndarray, *, context: str
 ) -> np.ndarray:
-    """Return ``values`` as a finite 1-D float array, or raise."""
+    """Return ``values`` as a finite, strictly positive 1-D float array."""
     array = np.asarray(values, dtype=float)
     if array.ndim != 1:
         raise MeasurementError(
@@ -51,7 +50,7 @@ def _validate_scores(
         raise MeasurementError(f"{context}: no scores given")
     if not np.all(np.isfinite(array)):
         raise MeasurementError(f"{context}: scores contain NaN or infinite values")
-    if require_positive and not np.all(array > 0.0):
+    if not np.all(array > 0.0):
         worst = float(array.min())
         raise MeasurementError(
             f"{context}: scores must be strictly positive, found {worst}"
@@ -109,7 +108,7 @@ def _reciprocal_sum(
 
 def arithmetic_mean(values: Sequence[float] | np.ndarray) -> float:
     """Plain arithmetic mean: ``(X_1 + ... + X_n) / n``."""
-    array = _validate_scores(values, context="arithmetic_mean", require_positive=False)
+    array = _validate_scores(values, context="arithmetic_mean")
     return float(array.mean())
 
 
@@ -119,13 +118,13 @@ def geometric_mean(values: Sequence[float] | np.ndarray) -> float:
     Computed in log space so long suites of large speedups do not
     overflow the product.
     """
-    array = _validate_scores(values, context="geometric_mean", require_positive=True)
+    array = _validate_scores(values, context="geometric_mean")
     return float(math.exp(np.log(array).mean()))
 
 
 def harmonic_mean(values: Sequence[float] | np.ndarray) -> float:
     """Plain harmonic mean: ``n / (1/X_1 + ... + 1/X_n)``."""
-    array = _validate_scores(values, context="harmonic_mean", require_positive=True)
+    array = _validate_scores(values, context="harmonic_mean")
     return float(array.size / _reciprocal_sum(array, context="harmonic_mean"))
 
 
@@ -139,7 +138,7 @@ def power_mean(values: Sequence[float] | np.ndarray, exponent: float) -> float:
     """
     if not math.isfinite(exponent):
         raise MeasurementError("power_mean: exponent must be finite")
-    array = _validate_scores(values, context="power_mean", require_positive=True)
+    array = _validate_scores(values, context="power_mean")
     # Exponents this small are indistinguishable from the geometric
     # limit at double precision (and denormals would corrupt the
     # expm1/log1p route below through rounding at denormal granularity).
@@ -170,9 +169,7 @@ def weighted_arithmetic_mean(
     weights: Sequence[float] | np.ndarray,
 ) -> float:
     """Arithmetic mean with per-workload weights (normalized to sum 1)."""
-    array = _validate_scores(
-        values, context="weighted_arithmetic_mean", require_positive=False
-    )
+    array = _validate_scores(values, context="weighted_arithmetic_mean")
     normalized = _validate_weights(
         weights, array.size, context="weighted_arithmetic_mean"
     )
@@ -184,9 +181,7 @@ def weighted_geometric_mean(
     weights: Sequence[float] | np.ndarray,
 ) -> float:
     """Geometric mean with per-workload weights: ``prod(X_i ** w_i)``."""
-    array = _validate_scores(
-        values, context="weighted_geometric_mean", require_positive=True
-    )
+    array = _validate_scores(values, context="weighted_geometric_mean")
     normalized = _validate_weights(
         weights, array.size, context="weighted_geometric_mean"
     )
@@ -198,9 +193,7 @@ def weighted_harmonic_mean(
     weights: Sequence[float] | np.ndarray,
 ) -> float:
     """Harmonic mean with per-workload weights."""
-    array = _validate_scores(
-        values, context="weighted_harmonic_mean", require_positive=True
-    )
+    array = _validate_scores(values, context="weighted_harmonic_mean")
     normalized = _validate_weights(
         weights, array.size, context="weighted_harmonic_mean"
     )

@@ -39,8 +39,11 @@ Every path makes the same guarantees:
   under the parent's ``fanout.run`` span with its *real* start/end
   timestamps and worker pid, and the child's metrics are merged into
   the ambient registry (counters sum, gauges last-write, histograms
-  concatenate).  Serial and parallel runs therefore produce
-  structurally identical traces and identical merged counter totals.
+  concatenate).  When a :class:`~repro.obs.ledger.RunRecorder` is
+  installed, each variant's stage records ship back the same way and
+  join it in variant order.  Serial and parallel runs therefore
+  produce structurally identical traces, identical merged counter
+  totals and identical ledger stage lists.
 
 A lost worker fails the sweep loudly.  When a pool process dies — a
 SIGKILL, an out-of-memory kill, an initializer that raises — the
@@ -62,6 +65,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.engine.plan import SweepPlan
 from repro.exceptions import EngineError
 from repro.obs.context import TraceContext, current_context, use_context
+from repro.obs.ledger import RunRecorder, current_recorder, use_recorder
 from repro.obs.log import fmt_kv, get_logger
 from repro.obs.metrics import MetricsRegistry, current_metrics, use_metrics
 from repro.obs.trace import (
@@ -153,9 +157,10 @@ class VariantOutcome:
 
 
 _InvokePayload = tuple[
-    TaskFn, dict[str, Any], int, str, str, bool, dict[str, Any] | None
+    TaskFn, dict[str, Any], int, str, str, bool, bool, dict[str, Any] | None
 ]
-_InvokeResult = tuple[Any, float, int, dict[str, Any] | None, dict[str, Any]]
+# (value, wall, pid, span payload, metrics snapshot, stage records)
+_InvokeResult = tuple[Any, float, int, Any, dict[str, Any], tuple[Any, ...]]
 
 
 def _invoke(payload: _InvokePayload) -> _InvokeResult:
@@ -164,8 +169,10 @@ def _invoke(payload: _InvokePayload) -> _InvokeResult:
     Module-level and picklable.  The task executes with a fresh
     ambient :class:`MetricsRegistry` (and, when the parent is tracing,
     a fresh child :class:`Tracer` whose root is the variant's
-    ``fanout.variant`` span).  Both ship back with the result so the
-    parent can graft the real span tree and merge the metrics —
+    ``fanout.variant`` span; when it is recording a ledger run, a fresh
+    :class:`~repro.obs.ledger.RunRecorder` for the variant's stages).
+    All ship back with the result so the parent can graft the real
+    span tree, merge the metrics and append the stage records —
     identically in serial and parallel mode.
 
     The parent's :class:`~repro.obs.context.TraceContext` rides in the
@@ -173,7 +180,7 @@ def _invoke(payload: _InvokePayload) -> _InvokeResult:
     worker span carries the originating request's ``trace_id`` and the
     variant root records the parent span id it attaches under.
     """
-    task, params, seed, name, mode, traced, context_payload = payload
+    task, params, seed, name, mode, traced, recording, context_payload = payload
     context = (
         TraceContext.from_payload(context_payload)
         if context_payload is not None
@@ -181,8 +188,11 @@ def _invoke(payload: _InvokePayload) -> _InvokeResult:
     )
     child_metrics = MetricsRegistry()
     child_tracer = Tracer() if traced else None
+    child_recorder = RunRecorder(name) if recording else None
     with contextlib.ExitStack() as stack:
         stack.enter_context(use_metrics(child_metrics))
+        if child_recorder is not None:
+            stack.enter_context(use_recorder(child_recorder))
         if context is not None:
             stack.enter_context(use_context(context))
         if child_tracer is not None:
@@ -204,7 +214,9 @@ def _invoke(payload: _InvokePayload) -> _InvokeResult:
     span_payload = (
         child_tracer.roots[0].to_payload() if child_tracer is not None else None
     )
-    return value, wall, os.getpid(), span_payload, child_metrics.snapshot()
+    stages = child_recorder.stages if child_recorder is not None else ()
+    metrics = child_metrics.snapshot()
+    return value, wall, os.getpid(), span_payload, metrics, stages
 
 
 def check_variants(variants: Sequence[Any], caller: str) -> None:
@@ -331,6 +343,7 @@ class SweepScheduler:
         metrics = (
             self._metrics if self._metrics is not None else current_metrics()
         )
+        recorder = current_recorder()
         mode = "parallel" if parallel else "serial"
         workers = plan.workers if parallel else 1
         traced = bool(getattr(tracer, "enabled", False))
@@ -352,6 +365,7 @@ class SweepScheduler:
                 variant.name,
                 "parallel" if in_pool else "serial",
                 traced,
+                recorder.active,
                 context_payload,
             )
             for variant, in_pool in zip(variants, pooled)
@@ -382,16 +396,19 @@ class SweepScheduler:
             outcomes = []
             for payload, result in zip(payloads, results):
                 assert result is not None
-                value, wall, pid, span_payload, snapshot = result
-                _task, _params, seed, name, _mode, _traced, _context = payload
+                value, wall, pid, span_payload, snapshot, stages = result
+                seed, name = payload[2], payload[3]
                 # Graft the child's real span tree (true start/end
-                # timestamps, worker pid) under fanout.run and fold its
-                # metrics into the ambient registry: the trace and the
-                # counters come out the same whether the variant ran
-                # here or in a pool process.
+                # timestamps, worker pid) under fanout.run, fold its
+                # metrics into the ambient registry and append its
+                # stage records to the ambient recorder: the trace, the
+                # counters and the ledger come out the same whether the
+                # variant ran here or in a pool process.
                 if span_payload is not None:
                     tracer.graft(span_from_payload(span_payload))
                 metrics.merge(snapshot)
+                if stages:
+                    recorder.extend(stages)
                 outcomes.append(
                     VariantOutcome(
                         name=name,

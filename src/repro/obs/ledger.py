@@ -34,7 +34,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.exceptions import ReproError
 from repro.obs.context import current_context
@@ -73,11 +73,6 @@ DEFAULT_LEDGER_PATH = "results/runs.jsonl"
 # eventually slows every windowed read.
 SIZE_WARNING_BYTES = 5 * 1024 * 1024
 
-# Prefix of the per-stage timing histogram family the engine records;
-# used to rebuild stage walls from merged metrics when the stages ran
-# in worker processes (their StageStats never reach this process).
-_STAGE_SECONDS_PREFIX = 'repro_engine_stage_seconds{stage="'
-
 
 def ledger_path_from_env() -> str | None:
     """The ``REPRO_LEDGER`` ledger path, or ``None`` when unset/empty."""
@@ -98,24 +93,6 @@ def run_source(command: str) -> str:
     if command.startswith("service:"):
         return "service"
     return "cli"
-
-
-def _cache_sources_from_metrics(metrics: Mapping[str, Any]) -> dict[str, int]:
-    """Approximate stage cache sources from the engine's counters.
-
-    Worker-side stages report no ``StageStats`` here, but the merged
-    counters still say how many stage executions hit (and how many of
-    those came from disk) versus computed.
-    """
-    hits = int(metrics.get("repro_engine_cache_hits_total", 0) or 0)
-    misses = int(metrics.get("repro_engine_cache_misses_total", 0) or 0)
-    disk = int(metrics.get("repro_engine_disk_hits_total", 0) or 0)
-    sources = {
-        "memory": max(0, hits - disk),
-        "disk": min(disk, hits),
-        "compute": misses,
-    }
-    return {k: v for k, v in sources.items() if v}
 
 
 def _args_fingerprint(args: Mapping[str, Any]) -> str:
@@ -161,35 +138,19 @@ class RunRecorder:
             }
         )
 
+    def extend(self, stages: Iterable[Mapping[str, Any]]) -> None:
+        """Append stage records collected by another recorder.
+
+        Sweeps run each variant under its own recorder (in a pool
+        worker or in this process) and append its records here in
+        variant order.
+        """
+        self._stages.extend(dict(stage) for stage in stages)
+
     @property
     def stages(self) -> tuple[dict[str, Any], ...]:
         """The stage records collected so far."""
         return tuple(self._stages)
-
-    def _stages_from_metrics(self, metrics: Mapping[str, Any]) -> list[dict[str, Any]]:
-        """Rebuild per-stage walls from ``repro_engine_stage_seconds``.
-
-        Parallel sweeps execute stages in pool workers, whose
-        ``StageStats`` never pass through this process — but their
-        metrics do (merged by the fan-out executor), so the stage
-        timing histograms still carry the truth.
-        """
-        stages = []
-        for key, value in metrics.items():
-            if not key.startswith(_STAGE_SECONDS_PREFIX):
-                continue
-            name = key[len(_STAGE_SECONDS_PREFIX):].split('"', 1)[0]
-            if isinstance(value, Mapping) and value.get("count"):
-                stages.append(
-                    {
-                        "stage": name,
-                        "wall_seconds": float(value["sum"]),
-                        "executions": int(value["count"]),
-                        "cache_source": None,
-                        "cache_hit": None,
-                    }
-                )
-        return stages
 
     def finish(
         self,
@@ -209,15 +170,10 @@ class RunRecorder:
         """
         metrics_dict = metrics.as_dict() if metrics is not None else {}
         stages = list(self._stages)
-        if not stages and metrics_dict:
-            stages = self._stages_from_metrics(metrics_dict)
         sources: dict[str, int] = {}
         for stage in stages:
-            source = stage.get("cache_source")
-            if source is not None:
-                sources[source] = sources.get(source, 0) + 1
-        if not sources and metrics_dict:
-            sources = _cache_sources_from_metrics(metrics_dict)
+            source = stage["cache_source"]
+            sources[source] = sources.get(source, 0) + 1
         trace = None
         if tracer is not None and getattr(tracer, "enabled", False):
             trace = [

@@ -73,11 +73,12 @@ class PCA:
         eigenvectors = eigenvectors[:, order]
 
         components = eigenvectors[:, :wanted].T
-        # Deterministic sign convention.
-        for row in components:
-            pivot = np.argmax(np.abs(row))
-            if row[pivot] < 0.0:
-                row *= -1.0
+        # Deterministic sign convention: each row's largest absolute
+        # coordinate is positive (negating is exact).
+        pivots = components[
+            np.arange(wanted), np.argmax(np.abs(components), axis=1)
+        ]
+        components *= np.where(pivots < 0.0, -1.0, 1.0)[:, None]
         self._components = components
         self._eigenvalues = eigenvalues
         return self

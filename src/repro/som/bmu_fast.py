@@ -12,8 +12,12 @@ The bound
 ---------
 
 Fix an orthonormal basis ``V`` (rows) of a ``q``-dimensional subspace
-and a center ``mu`` (we use the top principal components of the sample
-matrix, computed once per matrix).  Split any centered vector ``v``
+and a center ``mu``.  The search takes both from the fit's
+:class:`~repro.pca.PCA` of the training matrix, the same fit that seeds
+the PCA initializer, so a fit diagonalizes its covariance once: the
+basis is the top ``q`` principal components and ``mu`` the PCA mean.
+A search is built for one matrix and prepares its projected samples on
+its first pruned call.  Split any centered vector ``v``
 into its projection ``P v`` and residual norm
 ``v_perp = sqrt(||v||^2 - ||P v||^2)``.  For a sample ``x`` and weight
 ``w`` (both centered on ``mu``), expanding ``||x - w||^2`` and bounding
@@ -84,25 +88,21 @@ are exact by construction and counted in the search stats.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Mapping
 
 import numpy as np
 
+from repro.pca.pca import PCA
 from repro.som.bmu import bmu_indices
 
-__all__ = ["PrunedBMUSearch", "bmu_indices_among"]
+__all__ = ["PrunedBMUSearch"]
 
 try:  # Same raw einsum entry point som.py uses: identical C kernel,
     # so shortlist scores match the exact search bit for bit.
     from numpy._core._multiarray_umath import c_einsum as _einsum
 except ImportError:  # pragma: no cover - other numpy layouts
     _einsum = np.einsum
-
-# Keep at most this many per-matrix preparations alive.  Each entry
-# holds a strong reference to its sample matrix: that reference is
-# what makes the (data pointer, shape) cache key safe — the buffer
-# cannot be freed and reallocated under a live key.
-_PREP_CACHE_LIMIT = 64
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -117,40 +117,27 @@ _EPS = float(np.finfo(np.float64).eps)
 _MIN_PRUNED_PAIRS = 16_000
 
 
-def bmu_indices_among(
-    matrix: np.ndarray, weights: np.ndarray, candidates: np.ndarray
-) -> np.ndarray:
-    """Exact BMU restricted to per-sample candidate unit lists.
-
-    ``candidates`` is ``(n_samples, k)``: for each row the unit indices
-    to score (duplicates allowed).  Returns the candidate with the
-    smallest exact squared distance, breaking ties toward the earliest
-    column — which equals the exact search's lowest-unit-index
-    tie-break whenever each row's candidates are sorted ascending.
-    Scores use the same einsum kernel as :func:`bmu_indices`, so when a
-    row's candidates include the true BMU the result is identical.
-    """
-    samples, k = candidates.shape
-    flat_units = candidates.reshape(-1)
-    rows = np.repeat(np.arange(samples), k)
-    cross = _einsum("pd,pd->p", matrix[rows], weights[flat_units])
-    norms = _einsum("ud,ud->u", weights, weights)
-    scores = (norms[flat_units] - 2.0 * cross).reshape(samples, k)
-    return candidates[np.arange(samples), np.argmin(scores, axis=1)]
-
-
 class PrunedBMUSearch:
-    """Batch BMU search with a projected lower-bound pre-filter.
+    """Batch BMU search over one matrix with a projected lower bound.
 
-    Called as ``search(weights, matrix) -> bmus`` once per epoch of
-    every batch fit; returns :func:`~repro.som.bmu.bmu_indices`'s
-    indices bit for bit.  Stateless across epochs (the
-    probe threshold is recomputed from the current weights every call),
-    so results are independent of call history; only the per-matrix
-    projection and the statistics counters persist.
+    Built once per batch fit for its training matrix and called as
+    ``search(weights) -> bmus`` once per epoch; returns
+    :func:`~repro.som.bmu.bmu_indices`'s indices bit for bit.
+    Stateless across epochs (the probe threshold is recomputed from
+    the current weights every call), so results are independent of
+    call history; only the projected samples (prepared on the first
+    pruned call) and the statistics counters persist.
 
     Parameters
     ----------
+    matrix:
+        The ``(samples, features)`` matrix every call searches.
+    pca:
+        A :class:`~repro.pca.PCA` fitted on ``matrix`` (the fit's own,
+        shared with the PCA initializer); its mean is the bound's
+        center and its leading components the projection basis.
+        ``None`` when the matrix has too few samples for a PCA: every
+        call then scores densely.
     rank:
         Dimension of the PCA projection used by the bound.  Higher
         rank tightens the bound (smaller shortlists) but widens the
@@ -169,12 +156,21 @@ class PrunedBMUSearch:
     """
 
     def __init__(
-        self, rank: int = 32, margin: float = 1e-4, max_share: float = 0.5
+        self,
+        matrix: np.ndarray,
+        pca: PCA | None,
+        *,
+        rank: int = 32,
+        margin: float = 1e-4,
+        max_share: float = 0.5,
     ) -> None:
+        self.matrix = matrix
+        self.pca = pca
         self.rank = int(rank)
         self.margin = float(margin)
         self.max_share = float(max_share)
-        self._prep_cache: dict[tuple[int, tuple[int, ...]], dict] = {}
+        kept = 0 if pca is None else pca.explained_variance.size
+        self._q = min(self.rank, matrix.shape[1] - 1, kept)
         self._bound_buf: np.ndarray | None = None
         self._mask_buf: np.ndarray | None = None
         # Lifetime counters; see ``stats``.
@@ -210,24 +206,15 @@ class PrunedBMUSearch:
             "pruning_rate": self.pruning_rate,
         }
 
-    # -- per-matrix preparation ----------------------------------------
+    # -- the matrix's one preparation ----------------------------------
 
-    @staticmethod
-    def _key(matrix: np.ndarray) -> tuple[int, tuple[int, ...]]:
-        return (matrix.__array_interface__["data"][0], matrix.shape)
-
-    def _prep(self, matrix: np.ndarray) -> dict:
-        key = self._key(matrix)
-        hit = self._prep_cache.get(key)
-        if hit is not None:
-            return hit
-        samples, dim = matrix.shape
-        q = min(self.rank, dim - 1, samples)
-        mu = matrix.mean(axis=0)
+    @cached_property
+    def _prep(self) -> dict[str, Any]:
+        assert self.pca is not None
+        matrix, q = self.matrix, self._q
+        mu = self.pca.mean
+        basis = self.pca.components[:q].copy()  # not a view of all D axes
         centered = matrix - mu
-        cov = centered.T @ centered
-        _, vecs = np.linalg.eigh(cov)
-        basis = np.ascontiguousarray(vecs[:, ::-1][:, :q].T)
         projected = centered @ basis.T
         sq_centered = np.einsum("sd,sd->s", centered, centered)
         residual = np.sqrt(
@@ -238,29 +225,23 @@ class PrunedBMUSearch:
         )
         # Extended projected samples: [P x, x_perp, 1] so one float32
         # GEMM against [2 P w, 2 w_perp, -||w||^2] yields the bound.
-        extended = np.empty((samples, q + 2), dtype=np.float32)
+        extended = np.empty((matrix.shape[0], q + 2), dtype=np.float32)
         extended[:, :q] = projected
         extended[:, q] = residual
         extended[:, q + 1] = 1.0
-        prep = {
-            "matrix": matrix,  # strong ref: keeps the cache key valid
+        return {
             "mu": mu,
             "basis": basis,
             "extended": extended,
             "sq_centered": sq_centered,
             "sq_norms": np.einsum("sd,sd->s", matrix, matrix),
-            "q": q,
         }
-        if len(self._prep_cache) >= _PREP_CACHE_LIMIT:
-            self._prep_cache.pop(next(iter(self._prep_cache)))
-        self._prep_cache[key] = prep
-        return prep
 
     def _extended_weights(
         self, weights: np.ndarray, prep: Mapping[str, Any]
     ) -> tuple[np.ndarray, np.ndarray]:
         """``([2 P w, 2 w_perp, -||w0||^2] in f32, centered norms)``."""
-        q = prep["q"]
+        q = self._q
         centered = weights - prep["mu"]
         projected = centered @ prep["basis"].T
         sq_centered = np.einsum("ud,ud->u", centered, centered)
@@ -280,7 +261,7 @@ class PrunedBMUSearch:
     # -- diagnostics ----------------------------------------------------
 
     def shortlist_mask(
-        self, weights: np.ndarray, matrix: np.ndarray
+        self, weights: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(mask, probe)`` the search would use, without running it.
 
@@ -291,16 +272,12 @@ class PrunedBMUSearch:
         mask.  Does not touch the lifetime counters.
         """
         bound, probe, neg_thr, _ = self._bound_and_probe(
-            weights, matrix, out_bound=None
+            weights, out_bound=None
         )
         return bound >= neg_thr[:, None], probe
 
     def _bound_and_probe(
-        self,
-        weights: np.ndarray,
-        matrix: np.ndarray,
-        *,
-        out_bound: np.ndarray | None,
+        self, weights: np.ndarray, *, out_bound: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Bound matrix, probe candidate, keep threshold, weight norms.
 
@@ -310,7 +287,7 @@ class PrunedBMUSearch:
         along for free so the caller's shortlist scoring does not
         recompute them.
         """
-        prep = self._prep(matrix)
+        matrix, prep = self.matrix, self._prep
         ext_weights, sq_centered_w = self._extended_weights(weights, prep)
         bound = np.matmul(prep["extended"], ext_weights.T, out=out_bound)
         probe = np.argmax(bound, axis=1)
@@ -338,13 +315,13 @@ class PrunedBMUSearch:
 
     # -- the search ------------------------------------------------------
 
-    def __call__(self, weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-        samples, dim = matrix.shape
+    def __call__(self, weights: np.ndarray) -> np.ndarray:
+        matrix = self.matrix
+        samples = matrix.shape[0]
         units = weights.shape[0]
         self.calls += 1
         self.pair_total += samples * units
-        q = min(self.rank, dim - 1, samples)
-        if q < 2 or samples * units < _MIN_PRUNED_PAIRS:
+        if self._q < 2 or samples * units < _MIN_PRUNED_PAIRS:
             # Rank-starved data (a one-dimensional projection bounds too
             # loosely to pay) or a call too small for pruning to pay.
             self.exhaustive += samples * units
@@ -358,7 +335,7 @@ class PrunedBMUSearch:
             self._bound_buf = np.empty((samples, units), dtype=np.float32)
             self._mask_buf = np.empty((samples, units), dtype=bool)
         bound, probe, neg_thr, sq_norms_w = self._bound_and_probe(
-            weights, matrix, out_bound=self._bound_buf
+            weights, out_bound=self._bound_buf
         )
         if not np.isfinite(neg_thr).all():
             self.exhaustive += samples * units

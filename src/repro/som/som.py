@@ -32,6 +32,7 @@ from repro.exceptions import SOMError
 from repro.obs.log import fmt_kv, get_logger
 from repro.obs.metrics import current_metrics
 from repro.obs.trace import current_tracer
+from repro.pca.pca import PCA
 from repro.som.batch import (
     EpochTerms,
     GroupedEpochTerms,
@@ -249,8 +250,11 @@ class SelfOrganizingMap:
 
         Every batch fit finds its BMUs with the bound-pruned search of
         :mod:`repro.som.bmu_fast`, which returns the dense search's
-        indices bit for bit.  ``bmu_strategy`` (batch mode only) picks
-        only the epoch-update arithmetic: ``"exact"`` (default,
+        indices bit for bit.  The fit runs one :class:`~repro.pca.PCA`
+        on the training matrix and hands it to both the PCA initializer
+        and that search, so the covariance is diagonalized once.
+        ``bmu_strategy`` (batch mode only) picks only the epoch-update
+        arithmetic: ``"exact"`` (default,
         bitwise the reference batch loop) or ``"pruned"`` — the grouped
         update of :class:`~repro.som.batch.GroupedEpochTerms`, faster
         on large suites and within ~1e-13 of exact.  Search statistics
@@ -291,7 +295,12 @@ class SelfOrganizingMap:
         ) as span:
             rng = np.random.default_rng(self._config.seed)
             initializer = resolve_initializer(self._config.initialization)
-            self._weights = initializer(self._grid, matrix, rng).astype(float)
+            pca = None
+            if matrix.shape[0] >= 2 and (
+                mode == "batch" or self._config.initialization == "pca"
+            ):
+                pca = PCA().fit(matrix)
+            self._weights = initializer(self._grid, matrix, rng, pca).astype(float)
             self._history = ()
             self._epochs_trained = 0
             self._bmu_stats = None
@@ -301,6 +310,7 @@ class SelfOrganizingMap:
             elif mode == "batch":
                 self._fit_batch(
                     matrix,
+                    pca,
                     track_quality_every=track_quality_every,
                     bmu_strategy=bmu_strategy,
                 )
@@ -423,35 +433,23 @@ class SelfOrganizingMap:
         history: list[tuple[int, float]] = []
         tracer = current_tracer()
         # The step loop is chunked into epochs of n_samples draws purely
-        # for observability; draw order and updates are unchanged.
+        # for observability; draw order and updates are unchanged.  An
+        # untraced span is a shared no-op (~1 us an epoch).
         for epoch in range(epochs):
-            if tracer.enabled:
-                with tracer.span(
-                    "som.epoch", epoch=epoch, steps=n_samples
-                ) as span:
-                    recorded = len(history)
-                    self._sequential_steps(
-                        matrix, plan, epoch * n_samples, n_samples,
-                        track_quality_every, history,
-                    )
-                    # Per-epoch quality on the span is opt-in: reuse the
-                    # quality samples the caller asked for instead of
-                    # paying a full distance pass on every epoch (the
-                    # old behavior made --trace inflate the very stage
-                    # it measured).
-                    if track_quality_every and len(history) > recorded:
-                        step_seen, qe = history[-1]
-                        span.set(
-                            quantization_error=qe,
-                            quantization_error_step=step_seen,
-                        )
-                    else:
-                        span.set(quantization_error_skipped=True)
-            else:
+            with tracer.span("som.epoch", epoch=epoch, steps=n_samples) as span:
+                recorded = len(history)
                 self._sequential_steps(
                     matrix, plan, epoch * n_samples, n_samples,
                     track_quality_every, history,
                 )
+                # Per-epoch quality on the span is opt-in: reuse the
+                # quality samples the caller asked for instead of
+                # paying a full distance pass on every epoch.
+                if track_quality_every and len(history) > recorded:
+                    step_seen, qe = history[-1]
+                    span.set(quantization_error=qe, quantization_error_step=step_seen)
+                else:
+                    span.set(quantization_error_skipped=True)
         self._epochs_trained = epochs
         if track_quality_every:
             history.append(
@@ -624,6 +622,7 @@ class SelfOrganizingMap:
     def _fit_batch(
         self,
         matrix: np.ndarray,
+        pca: PCA | None,
         *,
         epochs: int = 50,
         track_quality_every: int = 0,
@@ -632,28 +631,21 @@ class SelfOrganizingMap:
         assert self._weights is not None
         denominator = max(epochs - 1, 1)
         tracer = current_tracer()
-        search = PrunedBMUSearch()
+        search = PrunedBMUSearch(matrix, pca)
         epoch_terms = (
             exact_epoch_terms if bmu_strategy == "exact" else GroupedEpochTerms()
         )
         for epoch in range(epochs):
-            if tracer.enabled:
-                with tracer.span("som.epoch", epoch=epoch) as span:
-                    self._batch_epoch(
-                        matrix, epoch / denominator, search, epoch_terms
-                    )
-                    # Opt-in, as in sequential mode: per-epoch quality
-                    # costs a full distance pass.
-                    if track_quality_every:
-                        span.set(
-                            quantization_error=self._quantization_error_of(
-                                matrix
-                            )
-                        )
-                    else:
-                        span.set(quantization_error_skipped=True)
-            else:
+            with tracer.span("som.epoch", epoch=epoch) as span:
                 self._batch_epoch(matrix, epoch / denominator, search, epoch_terms)
+                # Opt-in, as in sequential mode: per-epoch quality on a
+                # traced span costs a full distance pass.
+                if track_quality_every and tracer.enabled:
+                    span.set(
+                        quantization_error=self._quantization_error_of(matrix)
+                    )
+                else:
+                    span.set(quantization_error_skipped=True)
         self._epochs_trained = epochs
         self._bmu_stats = search.stats()
 
@@ -681,7 +673,7 @@ class SelfOrganizingMap:
             kernel=self._kernel,
             sq_table=self._grid.squared_distance_table,
             sigma=self._sigma(progress),
-            bmus=search(weights, matrix),
+            bmus=search(weights),
         )
         apply_epoch_terms(weights, terms)
 

@@ -137,13 +137,7 @@ def pairwise_distances(
         raise MeasurementError("pairwise_distances: points contain NaN/inf")
 
     if metric in ("euclidean", "sqeuclidean"):
-        # ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b, clipped against round-off.
-        squared_norms = np.sum(array * array, axis=1)
-        squared = squared_norms[:, None] + squared_norms[None, :]
-        squared -= 2.0 * (array @ array.T)
-        np.clip(squared, 0.0, None, out=squared)
-        np.fill_diagonal(squared, 0.0)
-        return squared if metric == "sqeuclidean" else np.sqrt(squared)
+        return _pairwise_euclidean(array, squared=metric == "sqeuclidean")
 
     if metric in ("manhattan", "chebyshev"):
         return _pairwise_elementwise(array, metric)
@@ -169,6 +163,66 @@ def pairwise_distances(
             matrix[i, j] = value
             matrix[j, i] = value
     return matrix
+
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _pairwise_euclidean(array: np.ndarray, *, squared: bool) -> np.ndarray:
+    """Euclidean (or squared) distances: Gram expansion, exact fallback.
+
+    ``||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b`` rounds at the scale of the
+    norms: each value is within ``(D + 2) eps (||a||^2 + ||b||^2)`` of
+    the truth (plus the subnormal spacing where squares underflow).  A
+    pair that does not clear that bound by ``1 / sqrt(eps)`` (near
+    duplicates, a large common offset, coordinates below ~1e-154) is
+    recomputed from its coordinate differences, scaled by the largest so
+    nothing underflows.  Small-integer coordinates (SOM cells) expand
+    exactly and only their coincident pairs are recomputed, to the same
+    zero, so their distances stay bitwise.
+    """
+    count = array.shape[0]
+    squared_norms = np.sum(array * array, axis=1)
+    expanded = squared_norms[:, None] + squared_norms[None, :]
+    gram = array @ array.T
+    gram *= 2.0
+    expanded -= gram
+    # Screen against the largest bound, then keep the pairs within their
+    # own; every negative value is among them.
+    factor = (array.shape[1] + 2) * np.sqrt(_EPS)
+    flat_values = expanded.reshape(-1)
+    flat = np.flatnonzero(
+        expanded <= factor * (2.0 * float(squared_norms.max()) + _TINY)
+    )
+    rows, cols = np.divmod(flat, count)
+    own = factor * (squared_norms[rows] + squared_norms[cols] + _TINY)
+    unsure = flat_values[flat] <= own
+    flat, rows, cols = flat[unsure], rows[unsure], cols[unsure]
+    exact = _difference_norms(array, rows, cols)
+    if squared:
+        flat_values[flat] = exact * exact
+    else:
+        flat_values[flat] = 0.0
+        np.sqrt(expanded, out=expanded)
+        flat_values[flat] = exact
+    np.fill_diagonal(expanded, 0.0)
+    return expanded
+
+
+def _difference_norms(
+    array: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """``||array[rows] - array[cols]||`` per pair, underflow-safe."""
+    out = np.empty(rows.size)
+    step = max(1, _BROADCAST_BUDGET_BYTES // (8 * array.shape[1]))
+    for start in range(0, rows.size, step):
+        chunk = slice(start, start + step)
+        diff = array[rows[chunk]] - array[cols[chunk]]
+        scale = np.max(np.abs(diff), axis=1)
+        diff /= np.where(scale > 0.0, scale, 1.0)[:, None]
+        out[chunk] = scale * np.sqrt(np.einsum("pd,pd->p", diff, diff))
+    return out
 
 
 # 3-D broadcast of an (n, n, dim) difference tensor is fastest for

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.pipeline import WorkloadAnalysisPipeline
@@ -143,6 +144,32 @@ class TestAlternateConfigurations:
         assert len(cuts) == 7
         assert som.is_trained
 
+
+    def test_stage_methods_run_the_configured_stages(self, paper_suite):
+        """One by one, the stages are those of ``run()``: a batch-mode
+        pipeline's ``reduce`` trains the batch SOM, not the sequential
+        default, and every artifact matches the engine run's."""
+        pipeline = WorkloadAnalysisPipeline(
+            characterization="methods",
+            machine=None,
+            som_config=FAST_SOM,
+            som_mode="batch",
+        )
+        result = pipeline.run(paper_suite)
+        raw = pipeline.characterize(paper_suite)
+        prepared = pipeline.preprocess(raw)
+        som, positions = pipeline.reduce(prepared)
+        dendrogram = pipeline.cluster(positions)
+        cuts = pipeline.score_cuts(dendrogram)
+        recommended = pipeline.recommend(
+            paper_suite, positions, dendrogram, cuts
+        )
+        assert som.epochs_trained == result.som.epochs_trained == 50
+        assert np.array_equal(som.weights, result.som.weights)
+        assert positions == result.positions
+        assert dendrogram == result.dendrogram
+        assert cuts == result.cuts
+        assert recommended == result.recommended_clusters
 
 class TestCustomCharacterizer:
     def test_pluggable_characterizer_runs(self, paper_suite):

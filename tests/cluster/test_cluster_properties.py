@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.cluster.agglomerative import AgglomerativeClustering
 from repro.stats.distance import pairwise_distances
@@ -78,6 +78,7 @@ def test_leaf_order_is_a_permutation(points):
 
 
 @given(point_clouds(), st.sampled_from([0.25, 0.5, 2.0, 4.0, 8.0]))
+@example(points=np.array([[0.0], [7.83656442e-163], [0.0]]), factor=4.0)
 @settings(max_examples=40, deadline=None)
 def test_uniform_scaling_preserves_cluster_structure(points, factor):
     """Scaling all points by a constant scales merge distances but

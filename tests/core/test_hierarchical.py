@@ -80,6 +80,22 @@ class TestHierarchicalArithmeticMean:
         )
 
 
+    def test_rejects_non_positive_scores(self):
+        """HAM of {0, 1 | 2} used to come out 1.25; a zero speedup is
+        rejected by every family, one score or a matrix of them."""
+        scores = {"a": 0.0, "b": 1.0, "c": 2.0}
+        partition = Partition([["a", "b"], ["c"]])
+        with pytest.raises(MeasurementError, match="strictly positive"):
+            hierarchical_arithmetic_mean(scores, partition)
+        for mean in ("arithmetic", "geometric", "harmonic"):
+            with pytest.raises(MeasurementError, match="strictly positive"):
+                hierarchical_mean_many(
+                    [[1.0, 1.0, 2.0], [0.0, 1.0, 2.0]],
+                    ["a", "b", "c"],
+                    partition,
+                    mean=mean,
+                )
+
 class TestHierarchicalHarmonicMean:
     def test_worked_example(self):
         # Inner HMs: HM(2, 8) = 3.2 and 4; outer HM(3.2, 4) ~ 3.5556.

@@ -28,8 +28,13 @@ class TestArithmeticMean:
     def test_single_value_is_identity(self):
         assert arithmetic_mean([7.3]) == pytest.approx(7.3)
 
-    def test_accepts_negative_values(self):
-        assert arithmetic_mean([-1.0, 1.0]) == pytest.approx(0.0)
+    def test_rejects_negative_values(self):
+        """Speedups are ratios: the arithmetic mean rejects a
+        non-positive score as every other family does."""
+        with pytest.raises(MeasurementError, match="strictly positive"):
+            arithmetic_mean([-1.0, 1.0])
+        with pytest.raises(MeasurementError, match="strictly positive"):
+            arithmetic_mean([0.0, 1.0])
 
     def test_accepts_numpy_array(self):
         assert arithmetic_mean(np.array([2.0, 4.0])) == pytest.approx(3.0)

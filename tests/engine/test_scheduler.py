@@ -25,6 +25,7 @@ from repro.engine.fanout import (
     derive_seed,
 )
 from repro.exceptions import EngineError
+from repro.obs.ledger import RunRecorder, use_recorder
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.workloads.suite import BenchmarkSuite
 from tests.sweep_plans import hand_plan
@@ -156,6 +157,48 @@ class TestModes:
             plan_pipeline_variants(doubled, suite)
         with pytest.raises(EngineError, match="duplicate"):
             run_pipeline_variants(doubled, suite)
+
+
+class TestLedgerStages:
+    def test_pool_run_stages_reach_the_ledger_record(self, suite, tmp_path):
+        """Stages that ran in pool workers join the record in variant
+        order, next to the parent's replay of the duplicate."""
+        variants = [
+            PipelineVariant(name="s1", seed=1),
+            PipelineVariant(name="s2", seed=2),
+            PipelineVariant(name="s1dup", seed=1),
+        ]
+        cache = tmp_path / "cache"
+        plan = plan_pipeline_variants(
+            variants, suite, workers=2, cache_dir=cache, cpus=2
+        )
+        if not plan.parallel:
+            pytest.skip("no fork pool on this platform")
+        assert [v.pool_eligible for v in plan.variants] == [True, True, False]
+        recorder = RunRecorder("sweep")
+        registry = MetricsRegistry()
+        with use_recorder(recorder), use_metrics(registry):
+            runs = run_pipeline_variants(
+                variants, suite, cache_dir=cache, plan=plan
+            )
+        record = recorder.finish(metrics=registry)
+        expected = [
+            (stats.stage, stats.cache_source)
+            for run in runs
+            for stats in run.result.run_report.stages
+        ]
+        assert len(expected) == 18
+        assert [
+            (stage["stage"], stage["cache_source"])
+            for stage in record["stages"]
+        ] == expected
+        assert record["cache_sources"] == {"compute": 12, "disk": 6}
+        executions = sum(
+            value["count"]
+            for key, value in registry.as_dict().items()
+            if key.startswith("repro_engine_stage_seconds")
+        )
+        assert executions == len(record["stages"])
 
 
 class TestSchedulerContract:

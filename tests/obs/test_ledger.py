@@ -85,31 +85,6 @@ class TestRunRecorder:
         assert record["stages"][0]["wall_seconds"] == 0.5
         assert record["cache_sources"] == {"compute": 1, "memory": 2}
 
-    def test_stages_rebuilt_from_metrics_when_none_recorded(self):
-        # Parallel sweeps run stages in pool workers: no StageStats in
-        # this process, but the merged metrics still carry the truth.
-        metrics = MetricsRegistry()
-        metrics.histogram(
-            "repro_engine_stage_seconds", stage="reduce"
-        ).observe(0.4)
-        metrics.histogram(
-            "repro_engine_stage_seconds", stage="reduce"
-        ).observe(0.6)
-        metrics.counter("repro_engine_cache_hits_total").inc(3)
-        metrics.counter("repro_engine_disk_hits_total").inc(1)
-        metrics.counter("repro_engine_cache_misses_total").inc(2)
-        record = RunRecorder("sweep", {}).finish(metrics=metrics)
-        (stage,) = record["stages"]
-        assert stage["stage"] == "reduce"
-        assert stage["wall_seconds"] == pytest.approx(1.0)
-        assert stage["executions"] == 2
-        assert stage["cache_source"] is None
-        assert record["cache_sources"] == {
-            "memory": 2,
-            "disk": 1,
-            "compute": 2,
-        }
-
     def test_trace_stored_only_when_tracing_enabled(self):
         tracer = Tracer()
         with tracer.span("cli.sweep"):

@@ -34,13 +34,14 @@ from unittest import mock
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from repro.analysis.sweep import PipelineVariant
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.som import bmu_fast
 from repro.som.bmu import bmu_indices
-from repro.som.bmu_fast import PrunedBMUSearch, bmu_indices_among
+from repro.pca import PCA
+from repro.som.bmu_fast import PrunedBMUSearch
 from repro.som.grid import Grid
 from repro.som.quality import quantization_error
 from repro.som.som import SOMConfig, SelfOrganizingMap
@@ -51,6 +52,12 @@ from tests.reference_kernels import reference_batch_weights
 def _engaged():
     """Switch off the small-call fallback so the bound always runs."""
     return mock.patch.object(bmu_fast, "_MIN_PRUNED_PAIRS", 0)
+
+
+def _search(matrix: np.ndarray) -> PrunedBMUSearch:
+    """A search over ``matrix`` with its PCA, as a batch fit builds it."""
+    pca = PCA().fit(matrix) if matrix.shape[0] >= 2 else None
+    return PrunedBMUSearch(matrix, pca)
 
 
 def _standardized(n_workloads: int, n_dims: int, seed: int = 3) -> np.ndarray:
@@ -80,9 +87,8 @@ class TestIndexEquality:
     def test_pruned_equals_exact_bitwise(self, problem):
         """Same winner and same tie-break as the exact search, always."""
         matrix, weights = problem
-        search = PrunedBMUSearch()
         with _engaged():
-            found = search(weights, matrix)
+            found = _search(matrix)(weights)
         np.testing.assert_array_equal(found, bmu_indices(matrix, weights))
 
     @given(
@@ -109,9 +115,8 @@ class TestIndexEquality:
         twin = data.draw(st.integers(0, units - 1), label="twin")
         if twin != source:
             weights[twin] = np.nextafter(weights[source], np.inf)
-        search = PrunedBMUSearch()
         with _engaged():
-            found = search(weights, matrix)
+            found = _search(matrix)(weights)
         np.testing.assert_array_equal(found, bmu_indices(matrix, weights))
 
     @given(search_problems())
@@ -119,8 +124,8 @@ class TestIndexEquality:
     def test_shortlist_contains_the_true_bmu(self, problem):
         """Bound soundness: no true BMU is ever pruned away."""
         matrix, weights = problem
-        search = PrunedBMUSearch()
-        mask, _ = search.shortlist_mask(weights, matrix)
+        assume(matrix.shape[0] >= 2)  # a PCA needs two samples
+        mask, _ = _search(matrix).shortlist_mask(weights)
         true_bmus = bmu_indices(matrix, weights)
         assert mask[np.arange(matrix.shape[0]), true_bmus].all()
 
@@ -130,9 +135,9 @@ class TestIndexEquality:
         rows, cols = Grid.suggested_shape(200)
         rng = np.random.default_rng(7)
         weights = rng.normal(size=(rows * cols, 32))
-        search = PrunedBMUSearch()
+        search = _search(data)
         np.testing.assert_array_equal(
-            search(weights, data), bmu_indices(data, weights)
+            search(weights), bmu_indices(data, weights)
         )
         assert search.fallbacks == 0
         assert search.pruning_rate > 0.5
@@ -141,31 +146,10 @@ class TestIndexEquality:
         """Adversarial exact ties still pick the lowest unit index."""
         matrix = np.tile([[1.0, 2.0], [3.0, -1.0]], (6, 1))
         weights = np.tile([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]], (4, 1))
-        search = PrunedBMUSearch()
+        search = _search(matrix)
         np.testing.assert_array_equal(
-            search(weights, matrix), bmu_indices(matrix, weights)
+            search(weights), bmu_indices(matrix, weights)
         )
-
-
-class TestRestrictedScoring:
-    def test_bmu_indices_among_with_true_bmu_listed(self):
-        rng = np.random.default_rng(5)
-        matrix = rng.normal(size=(20, 6))
-        weights = rng.normal(size=(9, 6))
-        exact = bmu_indices(matrix, weights)
-        candidates = np.sort(
-            np.stack([exact, (exact + 1) % 9, (exact + 3) % 9], axis=1),
-            axis=1,
-        )
-        np.testing.assert_array_equal(
-            bmu_indices_among(matrix, weights, candidates), exact
-        )
-
-    def test_ties_break_toward_earliest_column(self):
-        matrix = np.array([[0.0, 0.0]])
-        weights = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
-        candidates = np.array([[0, 1]])
-        assert bmu_indices_among(matrix, weights, candidates)[0] == 0
 
 
 class TestFallbacks:
@@ -174,9 +158,9 @@ class TestFallbacks:
         rng = np.random.default_rng(11)
         matrix = rng.normal(size=(30, 1))
         weights = rng.normal(size=(16, 1))
-        search = PrunedBMUSearch()
+        search = _search(matrix)
         np.testing.assert_array_equal(
-            search(weights, matrix), bmu_indices(matrix, weights)
+            search(weights), bmu_indices(matrix, weights)
         )
         assert search.fallbacks == 1
         assert search.exhaustive == 30 * 16
@@ -187,9 +171,9 @@ class TestFallbacks:
         rng = np.random.default_rng(12)
         matrix = rng.normal(size=(25, 5))
         weights = rng.normal(size=(6, 5))
-        search = PrunedBMUSearch()
+        search = _search(matrix)
         np.testing.assert_array_equal(
-            search(weights, matrix), bmu_indices(matrix, weights)
+            search(weights), bmu_indices(matrix, weights)
         )
         assert search.fallbacks == 1
 
@@ -199,9 +183,9 @@ class TestFallbacks:
         rng = np.random.default_rng(14)
         matrix = rng.normal(size=(1000, 2))
         weights = rng.normal(size=(169, 2))
-        search = PrunedBMUSearch()
+        search = _search(matrix)
         np.testing.assert_array_equal(
-            search(weights, matrix), bmu_indices(matrix, weights)
+            search(weights), bmu_indices(matrix, weights)
         )
         assert search.fallbacks == 1
 
@@ -211,8 +195,8 @@ class TestFallbacks:
         rng = np.random.default_rng(13)
         matrix = rng.normal(size=(40, 6))
         weights = np.tile(rng.normal(size=(1, 6)), (16, 1))
-        search = PrunedBMUSearch()
-        result = search(weights, matrix)
+        search = _search(matrix)
+        result = search(weights)
         np.testing.assert_array_equal(result, bmu_indices(matrix, weights))
         assert result.max() == 0  # ties all resolve to unit 0
         assert search.fallbacks == 1
@@ -302,6 +286,33 @@ class TestExactFitsOnEngagedShapes:
         assert stats["calls"] == som.epochs_trained
         assert stats["fallbacks"] == 0
         assert stats["pruning_rate"] > 0.5
+
+
+class TestOnePrincipalAxesFit:
+    def test_a_pruning_batch_fit_diagonalizes_once(self):
+        """The PCA initializer and the search share the fit's one PCA:
+        a fit whose search prunes (200 samples x 81 units = 16,200
+        pairs) runs a single eigendecomposition."""
+        data = _standardized(200, 32)
+        rows, cols = Grid.suggested_shape(200)
+        assert rows * cols * 200 >= bmu_fast._MIN_PRUNED_PAIRS
+        config = SOMConfig(rows=rows, columns=cols, seed=7)
+        eigh = np.linalg.eigh
+        with mock.patch.object(np.linalg, "eigh", side_effect=eigh) as spy:
+            som = SelfOrganizingMap(config).fit(data, mode="batch")
+        assert spy.call_count == 1
+        assert som.bmu_stats["fallbacks"] == 0
+
+    def test_search_prepares_once(self):
+        """The projected samples are built on the first pruned call and
+        kept for every later one."""
+        data = _standardized(200, 32)
+        weights = np.random.default_rng(7).normal(size=(81, 32))
+        search = _search(data)
+        search(weights)
+        prep = search._prep
+        search(weights * 0.5)
+        assert search._prep is prep
 
 
 class TestPaperPipelineAgreement:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SOMError
+from repro.pca import PCA
 from repro.som.grid import Grid
 from repro.som.initialization import (
     pca_initialization,
@@ -81,6 +82,19 @@ class TestPCAInitialization:
         weights = pca_initialization(Grid(2, 2), data, np.random.default_rng(0))
         assert weights.shape == (4, 2)
         assert np.all(weights >= -1e-12) and np.all(weights <= 1.0 + 1e-12)
+
+    def test_a_shared_full_pca_gives_the_same_weights_bitwise(self):
+        """The SOM fit passes its one full PCA; only the two major axes
+        are read, so the weights match a two-component fit exactly."""
+        data = np.random.default_rng(4).normal(size=(40, 7)) @ np.diag(
+            [5.0, 3.0, 2.0, 1.0, 0.5, 0.2, 0.1]
+        )
+        grid = Grid(4, 6)
+        own = pca_initialization(grid, data, np.random.default_rng(0))
+        shared = pca_initialization(
+            grid, data, np.random.default_rng(0), PCA().fit(data)
+        )
+        assert np.array_equal(own, shared)
 
     def test_single_row_grid(self):
         weights = pca_initialization(

@@ -101,6 +101,38 @@ class TestPairwiseDistances:
         matrix = pairwise_distances(points, metric="cosine")
         assert matrix[0, 1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
+    def test_accurate_far_from_the_origin(self, offset):
+        """The Gram expansion cancels at a large common offset; those
+        pairs are recomputed from their differences."""
+        points = np.random.default_rng(0).normal(size=(60, 3))
+        exact = np.sqrt(
+            ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        )
+        for metric, expected in (("euclidean", exact), ("sqeuclidean", exact**2)):
+            result = pairwise_distances(points + offset, metric=metric)
+            np.testing.assert_allclose(result, expected, rtol=1e-7, atol=1e-12)
+
+    def test_tiny_coordinates_do_not_underflow(self):
+        """Squares of coordinates below ~1e-154 underflow; distances
+        between them still come out nonzero and scale exactly."""
+        points = np.array([[0.0], [7.83656442e-163], [0.0]])
+        distances = pairwise_distances(points)
+        assert distances[0, 1] == distances[1, 2] == 7.83656442e-163
+        assert distances[0, 2] == 0.0
+        assert np.array_equal(pairwise_distances(points * 4.0), 4.0 * distances)
+
+    def test_integer_cells_expand_exactly(self):
+        """SOM-cell coordinates: every distance is the correctly
+        rounded square root of an exact integer."""
+        cells = np.random.default_rng(1).integers(0, 13, size=(200, 2))
+        points = cells.astype(float)
+        squared = ((cells[:, None, :] - cells[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(pairwise_distances(points), np.sqrt(squared))
+        assert np.array_equal(
+            pairwise_distances(points, metric="sqeuclidean"), squared
+        )
+
     def test_rejects_1d(self):
         with pytest.raises(MeasurementError, match="2-D"):
             pairwise_distances([1.0, 2.0])
