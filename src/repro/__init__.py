@@ -32,14 +32,7 @@ Quickstart
 
 from repro.analysis import AnalysisResult, WorkloadAnalysisPipeline
 from repro.cluster import AgglomerativeClustering, Dendrogram
-from repro.engine import (
-    DiskCache,
-    PipelineEngine,
-    RunReport,
-    Stage,
-    Variant,
-    derive_seed,
-)
+from repro.engine import DiskCache, PipelineEngine, RunReport, Stage
 from repro.core import (
     Hierarchy,
     Partition,
@@ -98,7 +91,6 @@ __all__ = [
     "RunReport",
     "Stage",
     "DiskCache",
-    "Variant",
     "derive_seed",
     "SelfOrganizingMap",
     "SOMConfig",
@@ -121,3 +113,13 @@ __all__ = [
     "REFERENCE_MACHINE",
     "ExecutionSimulator",
 ]
+
+
+def __getattr__(name: str):
+    # Sweeps are loaded only by code that runs one: ``import repro``
+    # stays free of the sweep module's dataclasses.
+    if name == "derive_seed":
+        from repro.analysis.sweep import derive_seed
+
+        return derive_seed
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

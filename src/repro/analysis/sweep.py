@@ -1,60 +1,54 @@
-"""Pipeline variant sweeps: planned, deduped, then fanned out.
+"""Pipeline variant sweeps: every variant in order on one engine.
 
-A :class:`PipelineVariant` is a picklable recipe for one
+A :class:`PipelineVariant` is a recipe for one
 :class:`~repro.analysis.pipeline.WorkloadAnalysisPipeline`
 configuration — the knobs a sweep actually varies (linkage, SOM
-geometry, characterization, machine).  Sweeps run in two phases:
+geometry, characterization, machine).
 
-* :func:`plan_pipeline_variants` precomputes every variant's stage
-  cache keys (:func:`repro.engine.executor.precompute_stage_keys` —
-  no execution required), probes them against the shared
-  :class:`~repro.engine.diskcache.DiskCache`, prices the remaining
-  compute with ledger-fed stage costs, dedups variants whose full
-  fingerprint chains coincide, and picks serial vs parallel plus a
-  worker count clamped to :func:`~repro.engine.hostinfo.available_cpus`;
-* :func:`run_pipeline_variants` executes the plan through
-  :class:`~repro.engine.fanout.SweepScheduler`: pool-worthy variants
-  fork, duplicates and fully-cached variants replay in the parent.
+* :func:`run_pipeline_variants` runs the variants in order, in this
+  process, on **one** :class:`~repro.engine.executor.PipelineEngine`.
+  The engine's memo computes a stage shared by several variants (the
+  characterize, preprocess and reduce stages of a linkage sweep) once,
+  and with ``cache_dir`` its :class:`~repro.engine.diskcache.DiskCache`
+  replays every stage an earlier run stored.  Spans, metrics and
+  ledger stage records go to the ambient tracer, registry and
+  recorder, under one ``sweep`` span with a ``sweep.variant`` child
+  per variant.
+* :func:`plan_pipeline_variants` answers ``repro-hmeans sweep
+  --dry-run`` without executing anything: per variant, the stage keys
+  execution will use (:func:`~repro.engine.executor.precompute_stage_keys`),
+  the stages already on disk and the stages shared with an earlier
+  variant.
 
-Each worker process (or the single serial run) builds **one** engine
-in its initializer; within a worker, variants share that engine's
-in-memory memoization, and when ``cache_dir`` is given every engine
-reads through the same persistent disk cache, so a stage computed by
-any process — or any *previous* sweep over the same directory — is
-computed exactly once.  The plan is pure data:
-``repro-hmeans sweep --dry-run`` renders it without executing
-anything.
+Sweeps stay in one process because the paper suite's per-variant work
+(cluster, score, recommend) takes milliseconds, far less than forking
+a worker costs; see ``docs/SCHEDULING.md`` for the measurement.
 """
 
 from __future__ import annotations
 
+import hashlib
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.analysis.pipeline import AnalysisResult, WorkloadAnalysisPipeline
 from repro.analysis.stages import suite_fingerprint
 from repro.engine.diskcache import DiskCache
 from repro.engine.executor import PipelineEngine, precompute_stage_keys
-from repro.engine.fanout import (
-    SweepScheduler,
-    Variant,
-    check_variants,
-    derive_seeds,
-)
-from repro.engine.plan import (
-    PlanEntry,
-    StageCostModel,
-    SweepPlan,
-    SweepPlanner,
-)
-from repro.exceptions import MeasurementError
+from repro.exceptions import EngineError, MeasurementError
+from repro.obs.trace import current_tracer
 from repro.som.som import SOMConfig
 from repro.workloads.suite import BenchmarkSuite
 
 __all__ = [
     "PipelineVariant",
     "VariantRun",
+    "VariantPlan",
+    "SweepPlan",
+    "derive_seed",
+    "derive_seeds",
     "plan_pipeline_variants",
     "run_pipeline_variants",
 ]
@@ -62,13 +56,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PipelineVariant:
-    """One pipeline configuration of a sweep (picklable by design).
+    """One pipeline configuration of a sweep.
 
-    ``seed=None`` lets the executor derive a deterministic per-variant
-    seed; pin it (the CLI pins every variant to its ``--seed``) when
-    the sweep should hold the characterization/SOM randomness fixed so
-    variants stay comparable.  ``som_mode="batch"`` selects the
-    deterministic batch SOM update.
+    ``seed=None`` lets the sweep derive a deterministic per-variant
+    seed (:func:`derive_seed`); pin it (the CLI pins every variant to
+    its ``--seed``) when the sweep should hold the characterization/SOM
+    randomness fixed so variants stay comparable.  ``som_mode="batch"``
+    selects the deterministic batch SOM update.
     """
 
     name: str
@@ -101,6 +95,41 @@ class PipelineVariant:
         )
 
 
+def derive_seed(base_seed: int, index: int, name: str) -> int:
+    """Deterministic per-variant seed: stable across runs.
+
+    Hash-derived (not ``base_seed + index``) so reordering or renaming
+    variants changes seeds loudly instead of silently shifting them
+    onto each other.
+    """
+    digest = hashlib.sha256(
+        f"{base_seed}:{index}:{name}".encode("utf-8")
+    ).digest()
+    return int.from_bytes(digest[:4], "big")
+
+
+def derive_seeds(
+    variants: Sequence[PipelineVariant], base_seed: int
+) -> list[int]:
+    """Each variant's effective seed: its own, or the derived default."""
+    return [
+        variant.seed
+        if variant.seed is not None
+        else derive_seed(base_seed, index, variant.name)
+        for index, variant in enumerate(variants)
+    ]
+
+
+def _check_variants(variants: Sequence[PipelineVariant], caller: str) -> None:
+    """Reject an empty sweep or one whose variant names repeat."""
+    if not variants:
+        raise MeasurementError(f"{caller}: no variants")
+    names = [v.name for v in variants]
+    if len(set(names)) != len(names):
+        duplicated = sorted({n for n in names if names.count(n) > 1})
+        raise EngineError(f"{caller}: duplicate variant names {duplicated}")
+
+
 @dataclass(frozen=True)
 class VariantRun:
     """One executed variant: its spec, effective seed and full result."""
@@ -109,144 +138,154 @@ class VariantRun:
     seed: int
     result: AnalysisResult
     wall_seconds: float
-    worker_pid: int
 
     @property
     def name(self) -> str:
         return self.variant.name
 
 
-# Per-process state, installed by the scheduler's initializer: one
-# engine per worker process (so in-memory memoization spans the
-# variants that worker handles) over the shared on-disk cache.
-_WORKER_ENGINE: PipelineEngine | None = None
-_WORKER_SUITE: BenchmarkSuite | None = None
+@dataclass(frozen=True)
+class VariantPlan:
+    """What a sweep would do for one variant, predicted without running.
 
+    ``stage_keys`` maps stage name to cache key in execution order;
+    ``on_disk`` names the stages whose key the disk cache already
+    holds, and ``shared`` those an earlier variant of the same sweep
+    runs first, so this variant's engine replays them from memory.
+    """
 
-def _init_worker(cache_dir: str | None, suite: BenchmarkSuite) -> None:
-    global _WORKER_ENGINE, _WORKER_SUITE
-    _WORKER_ENGINE = PipelineEngine(disk_cache=cache_dir)
-    _WORKER_SUITE = suite
+    name: str
+    seed: int
+    stage_keys: Mapping[str, str]
+    on_disk: tuple[str, ...] = ()
+    shared: tuple[str, ...] = ()
 
+    @property
+    def fully_cached(self) -> bool:
+        """Every stage predicted to come off disk."""
+        return len(self.on_disk) == len(self.stage_keys)
 
-def _run_variant(params: Mapping[str, Any], seed: int) -> AnalysisResult:
-    """Fan-out task body: run one variant on this process's engine."""
-    spec: PipelineVariant = params["spec"]
-    if _WORKER_ENGINE is None or _WORKER_SUITE is None:
-        raise MeasurementError(
-            "sweep worker used before initialization; run variants through "
-            "run_pipeline_variants"
+    @property
+    def to_compute(self) -> tuple[str, ...]:
+        """Stages neither on disk nor run by an earlier variant."""
+        return tuple(
+            stage
+            for stage in self.stage_keys
+            if stage not in self.on_disk and stage not in self.shared
         )
-    return spec.pipeline(seed, _WORKER_ENGINE).run(_WORKER_SUITE)
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    """The ``sweep --dry-run`` answer: one :class:`VariantPlan` per variant."""
+
+    variants: tuple[VariantPlan, ...]
+
+    def render(self) -> str:
+        """Human-readable plan table."""
+        width = max(len("variant"), *(len(v.name) for v in self.variants))
+        lines = [
+            f"sweep plan: {len(self.variants)} variant(s)",
+            f"  {'variant':<{width}}  {'seed':>10}  {'on disk':<10}"
+            f"  {'shared':<6}  decision",
+        ]
+        for variant in self.variants:
+            total = len(variant.stage_keys)
+            if variant.fully_cached:
+                decision = "replay (cached)"
+            elif variant.to_compute:
+                decision = "compute " + ", ".join(variant.to_compute)
+            else:
+                decision = "replay (shared)"
+            lines.append(
+                f"  {variant.name:<{width}}  {variant.seed:>10}  "
+                f"{f'disk {len(variant.on_disk)}/{total}':<10}  "
+                f"{f'{len(variant.shared)}/{total}':<6}  {decision}"
+            )
+        return "\n".join(lines)
 
 
 def plan_pipeline_variants(
     variants: Sequence[PipelineVariant],
     suite: BenchmarkSuite,
     *,
-    workers: int | str | None = None,
     cache_dir: str | Path | None = None,
     base_seed: int = 11,
-    ledger_path: str | Path | None = None,
-    cost_model: StageCostModel | None = None,
-    cpus: int | None = None,
 ) -> SweepPlan:
-    """Plan (but do not run) a sweep: cache hits, dedup, mode, workers.
+    """Predict (but do not run) a sweep: stage keys, disk hits, sharing.
 
     Stage cache keys are precomputed from each variant's stage graph
     and the suite fingerprint — exactly the keys execution will use —
     and probed against the disk cache at ``cache_dir`` (no cache: no
-    hit prediction, no dedup).  ``workers`` is ``None``/``"auto"`` for
-    cost-model sizing or an explicit upper bound, clamped to available
-    CPUs and runnable variants with a logged warning.  Stage costs
-    come from the run ledger at ``ledger_path`` when given (falling
-    back to the static table), or from an explicit ``cost_model``.
+    disk hits).
     """
-    if not variants:
-        raise MeasurementError("plan_pipeline_variants: no variants")
-    check_variants(variants, "sweep")
+    _check_variants(variants, "plan_pipeline_variants")
+    disk = None if cache_dir is None else DiskCache(cache_dir)
     source = {"suite": suite_fingerprint(suite)}
-    entries = [
-        PlanEntry(
-            name=variant.name,
-            seed=seed,
-            stage_keys=precompute_stage_keys(
-                variant.pipeline(seed, None).stages(), source
-            ),
+    seen: set[str] = set()
+    plans = []
+    for variant, seed in zip(variants, derive_seeds(variants, base_seed)):
+        keys = precompute_stage_keys(
+            variant.pipeline(seed, None).stages(), source
         )
-        for variant, seed in zip(variants, derive_seeds(variants, base_seed))
-    ]
-    planner = SweepPlanner(
-        cost_model=(
-            cost_model
-            if cost_model is not None
-            else StageCostModel.from_ledger(
-                None if ledger_path is None else str(ledger_path)
+        plans.append(
+            VariantPlan(
+                name=variant.name,
+                seed=seed,
+                stage_keys=keys,
+                on_disk=tuple(
+                    stage
+                    for stage, key in keys.items()
+                    if disk is not None and disk.contains(key)
+                ),
+                shared=tuple(
+                    stage for stage, key in keys.items() if key in seen
+                ),
             )
-        ),
-        disk_cache=None if cache_dir is None else DiskCache(cache_dir),
-        cpus=cpus,
-    )
-    return planner.plan(entries, workers=workers)
+        )
+        seen.update(keys.values())
+    return SweepPlan(variants=tuple(plans))
 
 
 def run_pipeline_variants(
     variants: Sequence[PipelineVariant],
     suite: BenchmarkSuite,
     *,
-    workers: int | str | None = 1,
     cache_dir: str | Path | None = None,
     base_seed: int = 11,
-    plan: SweepPlan | None = None,
-    ledger_path: str | Path | None = None,
+    workers: int = 1,
 ) -> list[VariantRun]:
-    """Run every variant over ``suite``; results come back in order.
+    """Run every variant over ``suite`` in order; results come back in order.
 
-    Plans first (see :func:`plan_pipeline_variants` — pass ``plan`` to
-    reuse one already built), then executes the plan: ``workers=1``
-    (default) runs serially in-process, ``"auto"``/``None`` lets the
-    cost model size the pool, and explicit counts are honored up to
-    the available CPUs (clamped with a warning, never errored).
-    Requests above 1 degrade to serial, with a warning, where ``fork``
-    is unavailable — or when the cost model says forking costs more
-    than it saves.  ``cache_dir`` points every worker's engine at one
-    persistent disk cache; identical results whatever the mode — seeds
-    are deterministic per variant, and deduped or fully-cached
-    variants replay the same artifacts their computing twin wrote.
-    A pool worker that dies raises :class:`~repro.exceptions.EngineError`
-    naming the variants it lost; nothing is retried.
+    All variants share one engine in this process, so a stage key
+    several variants share is computed once, and ``cache_dir`` backs
+    that engine with a persistent disk cache that later sweeps replay.
+    Seeds are deterministic per variant (:func:`derive_seeds`).
+
+    ``workers`` is kept only for the benchmark harness, which still
+    passes ``workers=1``; any other value raises
+    :class:`~repro.exceptions.MeasurementError`.
     """
-    if not variants:
-        raise MeasurementError("run_pipeline_variants: no variants")
-    check_variants(variants, "sweep")
-    if plan is None:
-        plan = plan_pipeline_variants(
-            variants,
-            suite,
-            workers=workers,
-            cache_dir=cache_dir,
-            base_seed=base_seed,
-            ledger_path=ledger_path,
+    if workers != 1:
+        raise MeasurementError(
+            f"run_pipeline_variants: sweeps run in one process; "
+            f"workers must be 1, got {workers!r}"
         )
-    scheduler = SweepScheduler(
-        _run_variant,
-        initializer=_init_worker,
-        initargs=(None if cache_dir is None else str(cache_dir), suite),
-    )
-    outcomes = scheduler.execute(
-        plan,
-        [
-            Variant(name=v.name, params={"spec": v}, seed=v.seed)
-            for v in variants
-        ],
-    )
-    return [
-        VariantRun(
-            variant=variant,
-            seed=outcome.seed,
-            result=outcome.value,
-            wall_seconds=outcome.wall_seconds,
-            worker_pid=outcome.worker_pid,
-        )
-        for variant, outcome in zip(variants, outcomes)
-    ]
+    _check_variants(variants, "run_pipeline_variants")
+    engine = PipelineEngine(disk_cache=cache_dir)
+    tracer = current_tracer()
+    runs = []
+    with tracer.span("sweep", variants=len(variants)):
+        for variant, seed in zip(variants, derive_seeds(variants, base_seed)):
+            started = time.perf_counter()
+            with tracer.span("sweep.variant", variant=variant.name, seed=seed):
+                result = variant.pipeline(seed, engine).run(suite)
+            runs.append(
+                VariantRun(
+                    variant=variant,
+                    seed=seed,
+                    result=result,
+                    wall_seconds=time.perf_counter() - started,
+                )
+            )
+    return runs

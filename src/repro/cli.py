@@ -15,14 +15,12 @@ Installed as ``repro-hmeans``.  Subcommands:
   rule, whose BMU search is always the bound-pruned one;
   ``--bmu-strategy pruned`` swaps only its update for the grouped,
   tolerance-bounded one, see ``docs/PERFORMANCE.md``).
-* ``sweep`` — re-run the analysis across several linkage rules, with
-  unchanged upstream stages computed once and served from cache.
-  Sweeps are planned before they run (see ``docs/SCHEDULING.md``):
-  ``--workers N|auto`` sizes the fork pool (clamped to available
-  CPUs, serial when forking would cost more than it saves),
-  ``--dry-run`` prints the plan — predicted cache hits, dedup
-  decisions, cost estimates — without executing, and ``--cache-dir``
-  shares one persistent stage cache between workers and future runs.
+* ``sweep`` — re-run the analysis across several linkage rules in one
+  process, with unchanged upstream stages computed once and served
+  from cache (see ``docs/SCHEDULING.md``): ``--dry-run`` prints the
+  plan — per variant, the stages already on disk and those shared
+  with an earlier variant — without executing, and ``--cache-dir``
+  keeps one persistent stage cache for future runs.
 * ``gaming`` — the redundancy-gaming demonstration.
 * ``subset`` — cluster-driven benchmark subsetting (one representative
   per cluster).
@@ -108,13 +106,6 @@ def _cmd_hgm_table(args: argparse.Namespace) -> str:
         geometric_mean(list(SPEEDUP_TABLE["B"].values())),
     )
     return format_hgm_table(measured, plain=plain, published=hgm_table(name))
-
-
-def _workers_arg(value: str) -> int | str:
-    """``--workers`` values: a positive integer or the string 'auto'."""
-    if value == "auto":
-        return value
-    return int(value)
 
 
 def _build_pipeline(args: argparse.Namespace) -> WorkloadAnalysisPipeline:
@@ -281,26 +272,12 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         for linkage in linkages
     ]
     suite = BenchmarkSuite.paper_suite()
-    # Stage costs come from the same ledger the run records to, when
-    # one is configured — the sweep learns from its own history.
-    ledger_path = getattr(args, "ledger", None) or ledger_path_from_env()
-    plan = plan_pipeline_variants(
-        variants,
-        suite,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        base_seed=args.seed,
-        ledger_path=ledger_path,
-    )
     if args.dry_run:
-        return plan.render()
+        return plan_pipeline_variants(
+            variants, suite, cache_dir=args.cache_dir, base_seed=args.seed
+        ).render()
     runs = run_pipeline_variants(
-        variants,
-        suite,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        base_seed=args.seed,
-        plan=plan,
+        variants, suite, cache_dir=args.cache_dir, base_seed=args.seed
     )
     rows = []
     hits = misses = disk = 0
@@ -322,10 +299,9 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
             hits += report.cache_hits
             misses += report.cache_misses
             disk += sum(1 for s in report.stages if s.cache_source == "disk")
-    mode = f"{plan.workers} workers" if plan.parallel else "serial"
     lines = [
         f"linkage sweep at k = {args.clusters} "
-        f"({args.characterization} characterization, {mode}):",
+        f"({args.characterization} characterization):",
         format_table(
             ["Linkage", "HGM A", "HGM B", "ratio A/B", "recommended k", "stages cached"],
             rows,
@@ -335,11 +311,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         f"{misses} miss(es) across {len(runs)} runs — unchanged upstream "
         "stages computed once and reused",
     ]
-    if plan.deduped or plan.cached:
-        lines.append(
-            f"plan: {len(plan.deduped)} duplicate variant(s) elided, "
-            f"{len(plan.cached)} replayed fully from the disk cache"
-        )
     if args.cache_dir:
         lines.append(
             f"persistent stage cache: {args.cache_dir} (reused by future runs)"
@@ -772,25 +743,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cluster count whose scores the table shows",
     )
     sweep.add_argument(
-        "--workers",
-        type=_workers_arg,
-        default=1,
-        metavar="N|auto",
-        help="run variants across N processes ('auto' sizes the pool from "
-        "available CPUs and the cost model; explicit counts are clamped to "
-        "available CPUs with a warning; identical results either way)",
-    )
-    sweep.add_argument(
         "--dry-run",
         action="store_true",
-        help="print the sweep plan (predicted cache hits, dedup decisions, "
-        "worker count, cost estimates) without executing anything",
+        help="print the sweep plan (stages already on disk, stages shared "
+        "with an earlier variant) without executing anything",
     )
     sweep.add_argument(
         "--cache-dir",
         metavar="DIR",
         default=None,
-        help="persistent stage cache shared by all workers and future runs",
+        help="persistent stage cache reused by future runs",
     )
 
     gaming = subparsers.add_parser(
@@ -1049,9 +1011,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     metrics_path = getattr(args, "metrics", None)
     # A real tracer only when requested: the no-op default keeps
     # instrumentation free on untraced runs.  Traced runs also get a
-    # fresh TraceContext, so every span of the invocation — including
-    # ones grafted back from fork-pool workers — carries one trace_id
-    # the ledger record stores (`obs show <trace-prefix>` resolves
+    # fresh TraceContext, so every span of the invocation carries one
+    # trace_id the ledger record stores (`obs show <trace-prefix>` resolves
     # it).  Metrics always collect into a per-invocation registry so
     # --metrics dumps one run.
     tracer = Tracer() if trace_path else None

@@ -17,17 +17,12 @@ provides that shape as reusable machinery:
 * :class:`~repro.engine.diskcache.DiskCache` — a persistent,
   content-addressed backing store for the stage cache, so fresh
   processes still skip already-computed stages;
-* :class:`~repro.engine.plan.SweepPlanner` — the thinking half of
-  fan-out: per-variant stage keys probed against the disk-cache index,
-  ledger-fed cost estimates, dedup of identical fingerprint chains,
-  and a serial-vs-parallel verdict sized to
-  :func:`~repro.engine.hostinfo.available_cpus`;
-* :class:`~repro.engine.fanout.SweepScheduler` — the acting half and
-  the one way to run a sweep: executes a
-  :class:`~repro.engine.plan.SweepPlan` over a process pool sharing
-  one disk cache, with deterministic per-variant seeds, and fails with
-  an :class:`~repro.exceptions.EngineError` naming the lost variants
-  when a worker process dies.
+* :func:`~repro.engine.executor.precompute_stage_keys` — every stage's
+  cache key without executing anything, which is how
+  ``repro-hmeans sweep --dry-run`` predicts disk hits.
+
+Sweeps over pipeline variants run in one process on one engine (see
+:mod:`repro.analysis.sweep`).
 
 The six paper stages are implemented beside their subsystems
 (:mod:`repro.characterization.stages`, :mod:`repro.som.stages`,
@@ -46,24 +41,8 @@ from repro.engine.executor import (
     precompute_stage_keys,
     run_single,
 )
-from repro.engine.fanout import (
-    SweepScheduler,
-    Variant,
-    VariantOutcome,
-    derive_seed,
-    derive_seeds,
-    fork_available,
-)
 from repro.engine.fingerprint import combine, fingerprint
 from repro.engine.hostinfo import available_cpus
-from repro.engine.plan import (
-    PlanEntry,
-    StageCostModel,
-    StagePlan,
-    SweepPlan,
-    SweepPlanner,
-    VariantPlan,
-)
 from repro.engine.stage import FunctionStage, RunContext, Stage
 from repro.engine.store import (
     Artifact,
@@ -93,17 +72,5 @@ __all__ = [
     "DiskCache",
     "DiskCacheInfo",
     "DEFAULT_MAX_BYTES",
-    "SweepScheduler",
-    "Variant",
-    "VariantOutcome",
-    "derive_seed",
-    "derive_seeds",
-    "fork_available",
     "available_cpus",
-    "PlanEntry",
-    "StageCostModel",
-    "StagePlan",
-    "SweepPlan",
-    "SweepPlanner",
-    "VariantPlan",
 ]

@@ -1,12 +1,11 @@
-"""Affinity-aware host introspection for scheduling decisions.
+"""Affinity-aware host introspection for run records.
 
 ``os.cpu_count()`` reports the machine's cores, not *this process's*
 cores: under cgroup CPU sets, ``taskset``, or container runtimes the
-process may be pinned to a subset, and sizing a fork pool by the raw
-count spawns workers that time-slice one another.  The scheduler (and
-the benchmarks that archive host facts) therefore size by
-:func:`available_cpus`, which honors the scheduling affinity mask when
-the platform exposes it.
+process may be pinned to a subset.  The run ledger and the benchmarks
+that archive host facts therefore record :func:`available_cpus`,
+which honors the scheduling affinity mask when the platform exposes
+it.
 """
 
 from __future__ import annotations

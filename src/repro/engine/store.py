@@ -145,9 +145,8 @@ class ArtifactSizes(Mapping[str, int]):
     """Read-only ``name -> size_bytes`` view over some artifacts.
 
     Sizes are read from the artifacts (so computed lazily, once each).
-    Pickling ships a plain dict of the sizes: they are measured in the
-    process that built the values, so a pool worker's report carries
-    the same numbers a serial run's does.
+    Pickling ships a plain dict of the sizes, measured where the values
+    were built, so an unpickled report carries the same numbers.
     """
 
     __slots__ = ("_artifacts",)

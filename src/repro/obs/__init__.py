@@ -4,13 +4,9 @@ Small, dependency-free tools that the engine, the SOM and the CLI
 thread through every run:
 
 * :mod:`repro.obs.trace` — nestable timed spans with JSONL and Chrome
-  ``trace_event`` export (``chrome://tracing`` / Perfetto loadable),
-  plus span payload serialization (:func:`span_from_payload`,
-  :meth:`Tracer.graft`) so fork-pool workers' traces survive the
-  process boundary;
+  ``trace_event`` export (``chrome://tracing`` / Perfetto loadable);
 * :mod:`repro.obs.metrics` — counters, gauges and timing histograms
-  (p50/p95/max) with a Prometheus-style text dump and
-  snapshot/merge cross-process propagation;
+  (p50/p95/max) with a Prometheus-style text dump;
 * :mod:`repro.obs.ledger` — a persistent JSONL ledger of runs
   (per-stage walls, cache sources, metrics, traces) read back by the
   ``repro-hmeans obs`` subcommands;
@@ -21,8 +17,7 @@ thread through every run:
 * :mod:`repro.obs.context` — the propagatable
   :class:`~repro.obs.context.TraceContext` (128-bit trace id, parent
   span id, sampled flag) carried ambiently in a ``ContextVar`` and
-  serialized across HTTP (``traceparent``) and fork-pool boundaries,
-  so every span, ledger record and service response of one request
+  serialized across HTTP (``traceparent``), so every span, ledger record and service response of one request
   shares one identity.
 
 All three are *ambient*: library code reads :func:`current_tracer` /
@@ -86,7 +81,6 @@ from repro.obs.trace import (
     Tracer,
     current_tracer,
     set_tracer,
-    span_from_payload,
     use_tracer,
 )
 
@@ -99,7 +93,6 @@ __all__ = [
     "current_tracer",
     "set_tracer",
     "use_tracer",
-    "span_from_payload",
     # trace context
     "TRACEPARENT_VERSION",
     "TraceContext",

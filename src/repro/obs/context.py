@@ -1,9 +1,8 @@
 """Propagatable trace context: one identity for one request's work.
 
 A :class:`TraceContext` names the causal unit everything else hangs
-off: a 128-bit ``trace_id`` shared by every span the request produces
-(in this process and in fork-pool workers),
-the ``span_id`` of the context's *parent* span (what a child tree
+off: a 128-bit ``trace_id`` shared by every span the request produces,
+the ``span_id`` of the context's *parent* span (what the work
 attaches under when it crosses a process boundary), and a ``sampled``
 flag that lets an upstream caller switch recording off without
 changing the id wire format.
@@ -18,9 +17,6 @@ boundary:
   ``traceparent`` header shape (``00-<trace_id>-<span_id>-<flags>``),
   so the scoring service both accepts an inbound context and emits
   the one it used;
-* fork pools: :meth:`TraceContext.to_payload` rides inside the worker
-  payload tuple and is reinstalled with :func:`use_context` before the
-  worker opens its first span (see :mod:`repro.engine.fanout`);
 * ledger: :meth:`~repro.obs.ledger.RunRecorder.finish` stamps the
   ambient ``trace_id`` into the run record, which is what lets
   ``obs show <trace-prefix>`` resolve a run by the id a service
@@ -39,7 +35,7 @@ import contextvars
 import os
 import re
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Iterator
 
 from repro.exceptions import ReproError
 
@@ -136,30 +132,6 @@ class TraceContext:
             span_id=span_id,
             sampled=bool(int(flags, 16) & 0x01),
         )
-
-    # -- pickle-free payload form (fork boundary) --------------------------
-
-    def to_payload(self) -> dict[str, Any]:
-        """JSON-safe dict form for worker payload tuples."""
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "sampled": self.sampled,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "TraceContext":
-        """Rebuild a context from :meth:`to_payload` output."""
-        try:
-            return cls(
-                trace_id=str(payload["trace_id"]),
-                span_id=str(payload["span_id"]),
-                sampled=bool(payload.get("sampled", True)),
-            )
-        except KeyError as error:
-            raise ReproError(
-                f"TraceContext.from_payload: missing field {error}"
-            ) from None
 
 
 def new_context(*, sampled: bool = True) -> TraceContext:

@@ -16,7 +16,7 @@ feeds every :class:`~repro.engine.executor.StageStats` to
 :func:`current_recorder` as stages finish (the default
 :data:`NULL_RECORDER` swallows them for free); at exit the CLI calls
 :meth:`RunRecorder.finish` and :meth:`RunLedger.append` writes the
-line atomically (single ``O_APPEND`` write), so concurrent runs never
+line with one ``O_APPEND`` write, so concurrent runs do not
 interleave records.
 
 Enable it with ``--ledger [FILE]`` on any subcommand or the
@@ -27,6 +27,7 @@ both for its per-request records.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import json
 import os
@@ -34,7 +35,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro.exceptions import ReproError
 from repro.obs.context import current_context
@@ -137,15 +138,6 @@ class RunRecorder:
                 "cache_hit": stats.cache_hit,
             }
         )
-
-    def extend(self, stages: Iterable[Mapping[str, Any]]) -> None:
-        """Append stage records collected by another recorder.
-
-        Sweeps run each variant under its own recorder (in a pool
-        worker or in this process) and append its records here in
-        variant order.
-        """
-        self._stages.extend(dict(stage) for stage in stages)
 
     @property
     def stages(self) -> tuple[dict[str, Any], ...]:
@@ -260,9 +252,9 @@ class CompactionResult:
 class RunLedger:
     """Append-only JSONL store of run records.
 
-    One line per run, written with a single ``O_APPEND`` ``write`` so
-    concurrent invocations over the same file never interleave.
-    Corrupt lines (a torn write from a crash, manual edits) are
+    One line per run, written with one ``O_APPEND`` ``write`` so
+    concurrent invocations over the same file do not interleave.
+    Corrupt lines (a torn write from a full disk, manual edits) are
     skipped with a warning on read, never fatal.
     """
 
@@ -270,17 +262,38 @@ class RunLedger:
         self.path = Path(path)
 
     def append(self, record: Mapping[str, Any]) -> str:
-        """Append one record atomically; returns its ``run_id``."""
+        """Append one record as one line; returns its ``run_id``.
+
+        Appenders take turns on an exclusive ``flock``.  The line goes
+        out in one ``O_APPEND`` write where the kernel takes it whole,
+        and the rest of a short write follows; a write that fails (a
+        full disk) raises :class:`ReproError`.  When an earlier append
+        was torn and left the file without a trailing newline, the
+        record starts on a fresh line, so the torn line stays the only
+        casualty.
+        """
         run_id = str(record.get("run_id", ""))
         if not run_id:
             raise ReproError("RunLedger.append: record has no run_id")
-        line = json.dumps(record, separators=(",", ":")) + "\n"
+        data = (json.dumps(record, separators=(",", ":")) + "\n").encode("utf-8")
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(
-            self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            os.write(fd, line.encode("utf-8"))
+            # Under the lock the last byte is final, not part of another
+            # appender's write in progress.
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                data = b"\n" + data
+            while data:
+                written = os.write(fd, data)
+                if written <= 0:
+                    raise OSError(f"wrote {written} of {len(data)} bytes")
+                data = data[written:]
+        except OSError as error:
+            raise ReproError(
+                f"RunLedger.append: cannot write {self.path}: {error}"
+            ) from error
         finally:
             os.close(fd)
         if _log.isEnabledFor(20):  # INFO
@@ -303,10 +316,9 @@ class RunLedger:
         """Parseable records, oldest first (corrupt lines skipped).
 
         ``command`` keeps only records of that subcommand; ``last``
-        then keeps the newest N of what survived.  A torn
-        final line (a crash mid-append, though the single ``O_APPEND``
-        write makes that a kill-during-write event) parses as corrupt
-        and is skipped like any other damaged line.
+        then keeps the newest N of what survived.  A torn line (an
+        append cut short by a full disk) parses as corrupt and is
+        skipped like any other damaged line.
         """
         if last is not None and last < 1:
             raise ReproError(f"RunLedger.records: last must be >= 1, got {last}")
@@ -395,42 +407,6 @@ class RunLedger:
             )
         )
         return result
-
-    def stage_costs(self, *, limit: int = 50) -> dict[str, float]:
-        """Mean *computed* wall seconds per stage over recent runs.
-
-        The empirical half of the scheduler's cost model: scans the
-        newest ``limit`` records and averages ``wall_seconds`` of the
-        stage entries that actually computed (``cache_source ==
-        "compute"``) — cache hits would drag the estimate toward zero
-        and metrics-derived entries (``cache_source is None``) cannot
-        be attributed.  Stages never seen computing are absent; a
-        missing or empty ledger yields ``{}`` so planners can always
-        call this and fall back to static costs.
-        """
-        try:
-            records = self.records()
-        except ReproError:
-            return {}
-        totals: dict[str, tuple[float, int]] = {}
-        for record in records[-max(1, limit):]:
-            for stage in record.get("stages") or ():
-                if not isinstance(stage, Mapping):
-                    continue
-                if stage.get("cache_source") != "compute":
-                    continue
-                name = stage.get("stage")
-                try:
-                    wall = float(stage.get("wall_seconds"))
-                except (TypeError, ValueError):
-                    continue
-                if not isinstance(name, str) or wall < 0:
-                    continue
-                total, count = totals.get(name, (0.0, 0))
-                totals[name] = (total + wall, count + 1)
-        return {
-            name: total / count for name, (total, count) in totals.items()
-        }
 
     def find(self, ref: str) -> dict[str, Any]:
         """Resolve one run by reference.

@@ -26,7 +26,7 @@ import contextlib
 import math
 import random
 import threading
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping
 
 from repro.exceptions import ReproError
 
@@ -140,45 +140,13 @@ class Histogram:
             self._exemplar is None or value > self._exemplar["value"]
         ):
             self._exemplar = {"value": value, "trace_id": str(trace_id)}
-        self._keep(value)
-
-    def _keep(self, value: float) -> None:
-        """Admit ``value`` to the sample list, through the reservoir if capped."""
+        # Admit the sample, through the reservoir when capped.
         if self.max_samples is None or len(self._values) < self.max_samples:
             self._values.append(value)
             return
         slot = self._rng.randrange(self._count)  # type: ignore[union-attr]
         if slot < self.max_samples:
             self._values[slot] = value
-
-    def _absorb(
-        self,
-        count: int,
-        total: float,
-        maximum: float | None,
-        samples: Sequence[float],
-    ) -> None:
-        """Merge another histogram's snapshot (exact count/sum/max,
-        samples concatenated through this histogram's reservoir)."""
-        if count < 0:
-            raise ReproError(f"Histogram: cannot absorb negative count {count}")
-        self._count += count
-        self._sum += total
-        if maximum is not None and (self._max is None or maximum > self._max):
-            self._max = float(maximum)
-        for value in samples:
-            self._keep(float(value))
-
-    def _absorb_exemplar(self, exemplar: Mapping[str, Any] | None) -> None:
-        """Adopt another histogram's exemplar when it is worse than ours."""
-        if not exemplar or "trace_id" not in exemplar:
-            return
-        value = float(exemplar.get("value", 0.0))
-        if self._exemplar is None or value > self._exemplar["value"]:
-            self._exemplar = {
-                "value": value,
-                "trace_id": str(exemplar["trace_id"]),
-            }
 
     @property
     def count(self) -> int:
@@ -301,81 +269,14 @@ class MetricsRegistry:
         """The histogram for ``name`` + labels, created on first use."""
         return self._get(Histogram, name, labels)  # type: ignore[return-value]
 
-    # -- cross-process merging ---------------------------------------------
-
-    def snapshot(self) -> dict[str, Any]:
-        """Full-fidelity, JSON-safe dump of every instrument.
-
-        Unlike :meth:`as_dict` (which summarizes histograms), the
-        snapshot carries each histogram's retained samples plus its
-        exact count/sum/max, so :meth:`merge` in another process can
-        reconstruct the distribution.  Deterministically ordered by
-        instrument name then label set.
-        """
-        instruments: list[dict[str, Any]] = []
-        for (name, labels), instrument in self._sorted_instruments():
-            entry: dict[str, Any] = {
-                "name": name,
-                "labels": [list(pair) for pair in labels],
-            }
-            if isinstance(instrument, Counter):
-                entry["kind"] = "counter"
-                entry["value"] = instrument.value
-            elif isinstance(instrument, Gauge):
-                entry["kind"] = "gauge"
-                entry["value"] = instrument.value
-            else:
-                entry["kind"] = "histogram"
-                entry["count"] = instrument.count
-                entry["sum"] = instrument.total
-                entry["max"] = instrument.max if instrument.count else None
-                entry["samples"] = list(instrument.samples)
-                if instrument.exemplar is not None:
-                    entry["exemplar"] = instrument.exemplar
-            instruments.append(entry)
-        return {"schema": 1, "instruments": instruments}
-
-    def merge(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a :meth:`snapshot` from another registry into this one.
-
-        Counters **sum**, gauges take the snapshot's value (**last
-        write wins**, merge order deciding), histograms **concatenate**
-        observations (count/sum/max exactly; samples flow through this
-        registry's reservoir policy).  Instruments absent here are
-        created.
-        """
-        for entry in snapshot.get("instruments", ()):
-            name = entry.get("name")
-            kind = entry.get("kind")
-            labels = {str(k): str(v) for k, v in (entry.get("labels") or ())}
-            if kind == "counter":
-                self.counter(name, **labels).inc(float(entry.get("value", 0)))
-            elif kind == "gauge":
-                self.gauge(name, **labels).set(float(entry.get("value", 0.0)))
-            elif kind == "histogram":
-                maximum = entry.get("max")
-                histogram = self.histogram(name, **labels)
-                histogram._absorb(
-                    int(entry.get("count", 0)),
-                    float(entry.get("sum", 0.0)),
-                    None if maximum is None else float(maximum),
-                    [float(v) for v in entry.get("samples") or ()],
-                )
-                histogram._absorb_exemplar(entry.get("exemplar"))
-            else:
-                raise ReproError(
-                    f"MetricsRegistry.merge: unknown instrument kind {kind!r} "
-                    f"for {name!r}"
-                )
-
     # -- export ------------------------------------------------------------
 
     def _sorted_instruments(
         self,
     ) -> list[tuple[tuple[str, tuple[tuple[str, str], ...]], Counter | Gauge | Histogram]]:
         """Instruments sorted by name then label set: every dump —
-        Prometheus text, :meth:`as_dict`, :meth:`snapshot` — renders in
-        this one deterministic order regardless of creation order."""
+        Prometheus text and :meth:`as_dict` — renders in this one
+        deterministic order regardless of creation order."""
         with self._lock:
             return sorted(self._instruments.items(), key=lambda item: item[0])
 

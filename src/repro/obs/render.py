@@ -121,11 +121,9 @@ def _flame_lines(
 ) -> None:
     duration = float(span["end_seconds"]) - float(span["start_seconds"])
     bar = "█" * max(1, round(duration * scale)) if duration > 0 else "·"
-    pid = (span.get("attributes") or {}).get("worker_pid")
-    tag = f"  [pid {pid}]" if pid is not None else ""
     lines.append(
         f"{'  ' * depth}{span.get('name', '?'):<{max(1, 28 - 2 * depth)}} "
-        f"{duration * 1e3:9.1f}ms  {bar}{tag}"
+        f"{duration * 1e3:9.1f}ms  {bar}"
     )
     if max_depth is not None and depth + 1 >= max_depth:
         return

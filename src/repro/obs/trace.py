@@ -31,9 +31,8 @@ tracer without racing over a process global.
 
 When a :class:`~repro.obs.context.TraceContext` is ambient (see
 :mod:`repro.obs.context`), every span opened while it is installed is
-stamped with its ``trace_id`` — including spans rebuilt from worker
-payloads, which carry the stamp through :meth:`Span.to_payload` — so
-a whole cross-process span forest shares one request identity.
+stamped with its ``trace_id``, so a whole span forest shares one
+request identity.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ __all__ = [
     "current_tracer",
     "set_tracer",
     "use_tracer",
-    "span_from_payload",
 ]
 
 
@@ -165,10 +163,8 @@ class Span:
     def to_payload(self) -> dict[str, Any]:
         """Recursive JSON-safe serialization of this finished subtree.
 
-        The payload round-trips through :func:`span_from_payload` with
-        real timestamps intact, which is how worker processes ship
-        their span trees back to the parent for grafting.  Raises
-        until the span has finished.
+        The run ledger stores traces in this form, with real
+        timestamps intact.  Raises until the span has finished.
         """
         if self.end_seconds is None:
             raise ReproError(
@@ -300,15 +296,14 @@ class Tracer:
         """All spans with the given name, in depth-first order."""
         return tuple(s for s in self.spans() if s.name == name)
 
-    # -- cross-process grafting --------------------------------------------
+    # -- grafting ------------------------------------------------------------
 
     def graft(self, span: Span) -> Span:
-        """Adopt a finished span tree produced elsewhere.
+        """Adopt a finished span tree produced by another tracer.
 
-        ``span`` (typically rebuilt from a worker payload with
-        :func:`span_from_payload`) becomes a child of the currently
-        open span, or a new root when no span is open.  Its recorded
-        timestamps are kept verbatim — grafting never re-times.
+        ``span`` becomes a child of the currently open span, or a new
+        root when no span is open.  Its recorded timestamps are kept
+        verbatim — grafting never re-times.
         """
         if not span.finished:
             raise ReproError(
@@ -355,20 +350,7 @@ class Tracer:
         and event names land in each event's ``args``.
         """
         events: list[dict[str, Any]] = []
-        own_pid = os.getpid()
-        # Grafted worker subtrees carry a worker_pid attribute on their
-        # root; inherit it downward so each worker renders as its own
-        # process track instead of overlapping the parent's.
-        pids: dict[int, int] = {}
-
-        def assign(span: Span, inherited: int) -> None:
-            pid = span.attributes.get("worker_pid", inherited)
-            pids[id(span)] = pid if isinstance(pid, int) else inherited
-            for child in span.children:
-                assign(child, pids[id(span)])
-
-        for root in self._roots:
-            assign(root, own_pid)
+        pid = os.getpid()
         origin = min(
             (s.start_seconds for s in self.spans() if s.finished),
             default=0.0,
@@ -385,7 +367,7 @@ class Tracer:
                 {
                     "name": span.name,
                     "ph": "X",
-                    "pid": pids.get(id(span), own_pid),
+                    "pid": pid,
                     "tid": 1,
                     "ts": (span.start_seconds - origin) * 1e6,
                     "dur": span.duration_seconds * 1e6,
@@ -478,38 +460,3 @@ def use_tracer(tracer: Tracer | NullTracer) -> Iterator[Tracer | NullTracer]:
         yield tracer
     finally:
         set_tracer(previous)
-
-
-def span_from_payload(payload: Mapping[str, Any]) -> Span:
-    """Rebuild a finished :class:`Span` tree from :meth:`Span.to_payload`.
-
-    The reconstructed spans carry the original wall-clock and
-    ``perf_counter`` timestamps (on Linux ``perf_counter`` is the
-    system-wide monotonic clock, so spans recorded in ``fork``
-    children stay on the parent's timeline).  They are detached —
-    graft them into a live trace with :meth:`Tracer.graft`.
-    """
-    try:
-        name = payload["name"]
-        start_seconds = float(payload["start_seconds"])
-        end_seconds = float(payload["end_seconds"])
-    except (KeyError, TypeError, ValueError) as error:
-        raise ReproError(f"span_from_payload: malformed payload: {error}")
-    if end_seconds < start_seconds:
-        raise ReproError(
-            f"span_from_payload: span {name!r} ends before it starts"
-        )
-    span = Span(None, name, dict(payload.get("attributes") or {}))  # type: ignore[arg-type]
-    trace_id = payload.get("trace_id")
-    span.trace_id = str(trace_id) if trace_id is not None else None
-    span.start_unix = float(payload.get("start_unix", 0.0))
-    span.start_seconds = start_seconds
-    span.end_seconds = end_seconds
-    span.counters = {
-        str(k): float(v) for k, v in (payload.get("counters") or {}).items()
-    }
-    span.events = list(payload.get("events") or [])
-    span.children = [
-        span_from_payload(child) for child in payload.get("children") or []
-    ]
-    return span

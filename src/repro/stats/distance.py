@@ -77,18 +77,18 @@ def cosine_distance(x: Sequence[float], y: Sequence[float]) -> float:
     """One minus the cosine similarity.
 
     Useful for the Java method-utilization bit vectors where the number
-    of shared methods matters more than vector magnitude.  Raises on
-    zero vectors, where the angle is undefined.
+    of shared methods matters more than vector magnitude.  Computed as
+    ``||a/||a|| - b/||b||||^2 / 2``, which equals ``1 - cos`` but keeps
+    its accuracy for near-parallel vectors, where ``1 - cos`` cancels
+    to zero.  Raises on zero vectors, where the angle is undefined.
     """
     a, b = _as_pair(x, y)
     norm_a = float(np.linalg.norm(a))
     norm_b = float(np.linalg.norm(b))
     if norm_a == 0.0 or norm_b == 0.0:
         raise MeasurementError("cosine_distance: undefined for a zero vector")
-    similarity = float(np.dot(a, b)) / (norm_a * norm_b)
-    # Guard against floating-point drift slightly outside [-1, 1].
-    similarity = max(-1.0, min(1.0, similarity))
-    return 1.0 - similarity
+    diff = a / norm_a - b / norm_b
+    return 0.5 * float(np.dot(diff, diff))
 
 
 DISTANCE_METRICS: Mapping[str, DistanceMetric] = {
@@ -122,7 +122,8 @@ def pairwise_distances(
 
     The diagonal is exactly zero.  Vectorized fast paths cover all
     five named metrics (Gram-matrix expansions for the Euclidean
-    family and cosine, broadcast reductions for L1/L-inf); metric
+    family and cosine, which runs it on the unit rows, and broadcast
+    reductions for L1/L-inf); metric
     callables fall back to the generic pairwise loop.  The fast paths
     are cross-checked against the loop form by the equivalence tests.
     """
@@ -143,16 +144,12 @@ def pairwise_distances(
         return _pairwise_elementwise(array, metric)
 
     if metric == "cosine":
-        # Gram matrix over unit-normalized rows; same zero-vector and
-        # [-1, 1]-clipping semantics as the scalar metric.
+        # Half the squared Euclidean distance between the unit rows, as
+        # the scalar metric computes it.
         norms = np.linalg.norm(array, axis=1)
         if np.any(norms == 0.0):
             raise MeasurementError("cosine_distance: undefined for a zero vector")
-        similarity = (array @ array.T) / np.outer(norms, norms)
-        np.clip(similarity, -1.0, 1.0, out=similarity)
-        distances = 1.0 - similarity
-        np.fill_diagonal(distances, 0.0)
-        return distances
+        return 0.5 * _pairwise_euclidean(array / norms[:, None], squared=True)
 
     metric_fn = resolve_metric(metric)
     count = array.shape[0]

@@ -10,7 +10,9 @@ from repro.engine import (
     PipelineEngine,
     RunContext,
     StageCache,
+    available_cpus,
     fingerprint,
+    precompute_stage_keys,
     run_single,
 )
 from repro.exceptions import EngineError
@@ -234,3 +236,37 @@ class TestHelpers:
         assert cache.get("k") == {"x": 1}
         info = cache.info()
         assert (info.hits, info.misses, info.entries) == (1, 1, 1)
+
+
+class TestPrecomputedKeys:
+    def test_keys_match_an_actual_engine_run(self):
+        """Predicted keys are the executor's keys, stage for stage."""
+        stages = _chain({"a": 0, "b": 0, "c": 0})
+        source = {"source": fingerprint("probe")}
+        predicted = precompute_stage_keys(stages, source)
+        run = PipelineEngine().run(
+            stages, {"source": 3}, source_fingerprints=source
+        )
+        executed = {stats.stage: stats.key for stats in run.report.stages}
+        assert predicted == executed
+
+    def test_keys_come_back_in_execution_order(self):
+        stages = _chain({"a": 0, "b": 0, "c": 0})
+        keys = precompute_stage_keys(
+            list(reversed(stages)), {"source": fingerprint(1)}
+        )
+        assert list(keys) == ["a", "b", "c"]
+
+    def test_missing_source_fingerprint_raises(self):
+        stages = _chain({"a": 0, "b": 0, "c": 0})
+        with pytest.raises(EngineError, match="'a'"):
+            precompute_stage_keys(stages, {"wrong_root": fingerprint(1)})
+
+
+class TestHostinfo:
+    def test_available_cpus_is_positive_and_bounded(self):
+        import os
+
+        cpus = available_cpus()
+        assert cpus >= 1
+        assert cpus <= (os.cpu_count() or cpus)

@@ -3,8 +3,7 @@
 ``Artifact.size_bytes`` and ``StageStats.artifact_sizes`` are lazy:
 a run that never reports sizes never calls ``approx_size``, and a
 report that does read them sees what an eager ``approx_size`` of the
-stage outputs gives.  (That a fork-pool sweep reports the byte totals
-of a serial one is pinned in ``test_fanout.py``.)
+stage outputs gives.
 """
 
 from __future__ import annotations

@@ -323,7 +323,7 @@ class TestObsCommands:
                         "name": "stage.reduce",
                         "start_seconds": 0.1,
                         "end_seconds": 0.9,
-                        "attributes": {"worker_pid": 77},
+                        "attributes": {},
                         "children": [],
                     }
                 ],
@@ -334,7 +334,6 @@ class TestObsCommands:
         out = capsys.readouterr().out
         assert "cli.pipeline" in out
         assert "  stage.reduce" in out
-        assert "[pid 77]" in out
 
 
 @pytest.fixture

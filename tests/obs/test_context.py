@@ -13,7 +13,6 @@ from repro.obs import (
     new_span_id,
     new_trace_id,
     set_context,
-    span_from_payload,
     use_context,
     use_tracer,
 )
@@ -87,10 +86,6 @@ class TestTraceContext:
         with pytest.raises(ReproError):
             TraceContext(trace_id="ab" * 16, span_id="0" * 16)
 
-    def test_payload_round_trip(self):
-        context = new_context(sampled=False)
-        assert TraceContext.from_payload(context.to_payload()) == context
-
 
 class TestAmbientContext:
     def test_default_is_none(self):
@@ -136,13 +131,14 @@ class TestSpanStamping:
                 pass
         assert tracer.roots[0].trace_id is None
 
-    def test_trace_id_survives_payload_round_trip(self):
+    def test_trace_id_lands_in_the_span_payload(self):
+        """The ledger stores spans as payloads; the stamp goes with them."""
         tracer = Tracer()
         context = new_context()
         with use_context(context), use_tracer(tracer):
             with tracer.span("outer"):
                 with tracer.span("inner"):
                     pass
-        rebuilt = span_from_payload(tracer.roots[0].to_payload())
-        assert rebuilt.trace_id == context.trace_id
-        assert rebuilt.children[0].trace_id == context.trace_id
+        payload = tracer.roots[0].to_payload()
+        assert payload["trace_id"] == context.trace_id
+        assert payload["children"][0]["trace_id"] == context.trace_id

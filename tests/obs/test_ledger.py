@@ -50,6 +50,11 @@ def _record(command="sweep", **overrides):
 
 
 class TestRunRecorder:
+    def test_records_carry_available_cpus(self):
+        from repro.engine.hostinfo import available_cpus
+
+        assert _record()["available_cpus"] == available_cpus()
+
     def test_finish_produces_schema_versioned_record(self):
         record = _record()
         assert record["schema"] == 1
@@ -174,6 +179,51 @@ class TestRunLedger:
             "also-good",
         ]
 
+    def test_append_after_a_torn_tail_starts_a_fresh_line(self, tmp_path):
+        """A record cut short costs only itself, not the next run."""
+        path = tmp_path / "runs.jsonl"
+        ledger = RunLedger(path)
+        ledger.append(_record("a1"))
+        ledger.append(_record("b2"))
+        data = path.read_bytes()
+        first_end = data.index(b"\n") + 1
+        torn = data[first_end:][: (len(data) - first_end) // 2]
+        path.write_bytes(data[:first_end] + torn)
+        ledger.append(_record("c3"))
+        assert path.read_bytes().count(b"\n") == 3
+        assert [r["command"] for r in ledger.records()] == ["a1", "c3"]
+
+    def test_short_write_finishes_the_record(self, tmp_path, monkeypatch):
+        path = tmp_path / "runs.jsonl"
+        real_write = os.write
+        sizes = []
+
+        def short_first_write(fd, data):
+            sizes.append(len(data))
+            if len(sizes) == 1:
+                return real_write(fd, bytes(data[: len(data) // 2]))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", short_first_write)
+        RunLedger(path).append(_record("a1"))
+        monkeypatch.undo()
+        RunLedger(path).append(_record("b2"))
+        assert len(sizes) == 2 and sizes[1] == sizes[0] - sizes[0] // 2
+        assert [r["command"] for r in RunLedger(path).records()] == [
+            "a1",
+            "b2",
+        ]
+
+    def test_full_disk_raises_repro_error(self, tmp_path, monkeypatch):
+        import errno
+
+        def no_space(fd, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "write", no_space)
+        with pytest.raises(ReproError, match="No space left"):
+            RunLedger(tmp_path / "runs.jsonl").append(_record())
+
     def test_find_by_position_index_and_prefix(self, tmp_path):
         ledger = RunLedger(tmp_path / "runs.jsonl")
         ids = [ledger.append(_record(f"cmd{i}")) for i in range(3)]
@@ -198,53 +248,6 @@ class TestRunLedger:
     def test_run_ids_are_unique(self):
         ids = {new_run_id("sweep") for _ in range(50)}
         assert len(ids) == 50
-
-
-class TestStageCosts:
-    def test_records_carry_available_cpus(self):
-        from repro.engine.hostinfo import available_cpus
-
-        assert _record()["available_cpus"] == available_cpus()
-
-    def test_stage_costs_average_compute_walls_only(self, tmp_path):
-        """Means per stage over compute executions; cache replays ignored."""
-        ledger = RunLedger(tmp_path / "runs.jsonl")
-        ledger.append(
-            _record(stages=[_stats("reduce", wall=1.0, source="compute")])
-        )
-        ledger.append(
-            _record(
-                stages=[
-                    _stats("reduce", wall=3.0, source="compute"),
-                    _stats("cluster", wall=9.0, source="disk", hit=True),
-                ]
-            )
-        )
-        costs = ledger.stage_costs()
-        assert costs["reduce"] == pytest.approx(2.0)
-        assert "cluster" not in costs
-
-    def test_stage_costs_honor_the_record_limit(self, tmp_path):
-        ledger = RunLedger(tmp_path / "runs.jsonl")
-        for wall in (10.0, 2.0, 4.0):
-            ledger.append(
-                _record(stages=[_stats("reduce", wall=wall)])
-            )
-        assert ledger.stage_costs(limit=2)["reduce"] == pytest.approx(3.0)
-
-    def test_stage_costs_empty_on_missing_ledger(self, tmp_path):
-        assert RunLedger(tmp_path / "absent.jsonl").stage_costs() == {}
-
-    def test_stage_costs_skip_malformed_records(self, tmp_path):
-        ledger = RunLedger(tmp_path / "runs.jsonl")
-        ledger.append({"run_id": "r-bad", "stages": "not-a-list"})
-        ledger.append(
-            {"run_id": "r-bad2", "stages": [{"stage": "reduce"}]}
-        )
-        ledger.append(
-            _record(stages=[_stats("reduce", wall=5.0)])
-        )
-        assert ledger.stage_costs() == {"reduce": pytest.approx(5.0)}
 
 
 class TestLedgerEnv:

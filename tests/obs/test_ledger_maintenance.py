@@ -103,6 +103,12 @@ def _append_batch(path, worker, count):
         )
 
 
+def _append_large_batch(path, worker, count):
+    ledger = RunLedger(path)
+    for i in range(count):
+        ledger.append({"run_id": f"w{worker}-{i}", "pad": "x" * 100_000})
+
+
 class TestConcurrentAppend:
     def test_parallel_writers_never_interleave_records(self, tmp_path):
         """N processes hammering one ledger: every line stays parseable.
@@ -140,3 +146,24 @@ class TestConcurrentAppend:
                 if r["run_id"].startswith(f"w{w}-")
             ]
             assert ours == [f"w{w}-{i}" for i in range(per_worker)]
+
+    def test_parallel_large_records_add_no_blank_lines(self, tmp_path):
+        """A record spanning pages is copied in over time; another
+        appender checking for a torn tail must not see it half written
+        and start a fresh line."""
+        path = tmp_path / "runs.jsonl"
+        workers, per_worker = 8, 30
+        ctx = multiprocessing.get_context("fork" if os.name == "posix" else "spawn")
+        procs = [
+            ctx.Process(target=_append_large_batch, args=(path, w, per_worker))
+            for w in range(workers)
+        ]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(timeout=60)
+            assert p.exitcode == 0
+        data = path.read_bytes()
+        assert b"\n\n" not in data and not data.startswith(b"\n")
+        assert data.count(b"\n") == workers * per_worker
+        assert len(RunLedger(path).records()) == workers * per_worker

@@ -192,15 +192,11 @@ class TestDeterministicDumps:
         assert one.render_prometheus() == two.render_prometheus()
         assert one.as_dict() == two.as_dict()
 
-    def test_as_dict_and_snapshot_are_sorted(self):
+    def test_as_dict_is_sorted(self):
         registry = MetricsRegistry()
         self._populate(registry, "fedcba")
         names = list(registry.as_dict())
         assert names == sorted(names)
-        snapshot_names = [
-            (i["name"], i["labels"]) for i in registry.snapshot()["instruments"]
-        ]
-        assert snapshot_names == sorted(snapshot_names)
 
 
 class TestHistogramReservoir:
@@ -256,79 +252,3 @@ class TestHistogramReservoir:
             histogram.observe(float(i))
         assert len(histogram.samples) == 10
         assert histogram.count == 100
-
-
-class TestSnapshotMerge:
-    """Cross-process propagation: snapshot on the worker, merge here."""
-
-    def test_round_trip_preserves_every_kind(self):
-        child = MetricsRegistry()
-        child.counter("runs_total").inc(3)
-        child.gauge("level", zone="eu").set(4.5)
-        child.histogram("lat_seconds").observe(0.1)
-        child.histogram("lat_seconds").observe(0.3)
-        parent = MetricsRegistry()
-        parent.merge(child.snapshot())
-        assert parent.as_dict() == child.as_dict()
-        assert parent.render_prometheus() == child.render_prometheus()
-
-    def test_merge_semantics_counter_sum_gauge_last_histogram_concat(self):
-        parent = MetricsRegistry()
-        parent.counter("runs_total").inc(1)
-        parent.gauge("level").set(1.0)
-        parent.histogram("lat_seconds").observe(1.0)
-        child = MetricsRegistry()
-        child.counter("runs_total").inc(2)
-        child.gauge("level").set(9.0)
-        child.histogram("lat_seconds").observe(3.0)
-        parent.merge(child.snapshot())
-        snapshot = parent.as_dict()
-        assert snapshot["runs_total"] == 3
-        assert snapshot["level"] == 9.0
-        assert snapshot["lat_seconds"]["count"] == 2
-        assert snapshot["lat_seconds"]["max"] == 3.0
-
-    def test_merge_is_associative_over_many_children(self):
-        parent = MetricsRegistry()
-        for pid in range(4):
-            child = MetricsRegistry()
-            child.counter("runs_total").inc()
-            child.histogram("lat_seconds").observe(float(pid))
-            parent.merge(child.snapshot())
-        assert parent.as_dict()["runs_total"] == 4
-        assert parent.as_dict()["lat_seconds"]["count"] == 4
-
-    def test_merged_capped_histograms_keep_exact_totals(self):
-        parent = MetricsRegistry(histogram_max_samples=50)
-        for _ in range(3):
-            child = MetricsRegistry()
-            for i in range(1000):
-                child.histogram("lat_seconds").observe(float(i))
-            parent.merge(child.snapshot())
-        merged = parent.histogram("lat_seconds")
-        assert merged.count == 3000
-        assert merged.total == 3 * sum(range(1000))
-        assert len(merged.samples) == 50
-
-    def test_snapshot_is_json_safe(self):
-        import json
-
-        registry = MetricsRegistry()
-        registry.counter("runs_total", mode="parallel").inc()
-        registry.histogram("lat_seconds").observe(0.25)
-        payload = json.loads(json.dumps(registry.snapshot()))
-        fresh = MetricsRegistry()
-        fresh.merge(payload)
-        assert fresh.as_dict() == registry.as_dict()
-
-    def test_merge_rejects_unknown_kind(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ReproError, match="kind"):
-            registry.merge(
-                {
-                    "schema": 1,
-                    "instruments": [
-                        {"name": "x", "labels": [], "kind": "summary"}
-                    ],
-                }
-            )

@@ -103,7 +103,7 @@ class TestRunsTable:
 
 
 class TestFlame:
-    def test_traced_run_renders_nested_tree_with_pids(self):
+    def test_traced_run_renders_nested_tree(self):
         trace = [
             _span(
                 "cli.sweep",
@@ -111,17 +111,10 @@ class TestFlame:
                 1.0,
                 children=[
                     _span(
-                        "fanout.run",
+                        "sweep",
                         0.1,
                         0.9,
-                        children=[
-                            _span(
-                                "fanout.variant",
-                                0.1,
-                                0.5,
-                                worker_pid=4242,
-                            )
-                        ],
+                        children=[_span("sweep.variant", 0.1, 0.5)],
                     )
                 ],
             )
@@ -129,9 +122,8 @@ class TestFlame:
         text = render_flame(_run(trace=trace), width=20)
         lines = text.splitlines()
         assert any(l.startswith("cli.sweep") for l in lines)
-        assert any(l.startswith("  fanout.run") for l in lines)
-        assert any(l.startswith("    fanout.variant") for l in lines)
-        assert "[pid 4242]" in text
+        assert any(l.startswith("  sweep ") for l in lines)
+        assert any(l.startswith("    sweep.variant") for l in lines)
         assert "1000.0ms" in text
         # Bars scale to the longest root: the root gets the full width.
         root_line = next(l for l in lines if l.startswith("cli.sweep"))

@@ -207,3 +207,41 @@ class TestDisabledFastPath:
             with tracer.span("hot"):
                 pass
         assert time.perf_counter() - started < 2.0
+
+
+class TestSpanPayload:
+    def test_open_span_refuses_to_serialize(self):
+        tracer = Tracer()
+        span = tracer.span("open")
+        span.__enter__()
+        with pytest.raises(ReproError, match="has not finished"):
+            span.to_payload()
+        span.__exit__(None, None, None)
+
+
+class TestGraft:
+    def test_graft_under_open_span(self):
+        donor = Tracer()
+        with donor.span("handler.root"):
+            pass
+        receiver = Tracer()
+        with receiver.span("parent"):
+            receiver.graft(donor.roots[0])
+        (parent,) = receiver.roots
+        assert [c.name for c in parent.children] == ["handler.root"]
+
+    def test_graft_as_root_when_nothing_open(self):
+        donor = Tracer()
+        with donor.span("loose"):
+            pass
+        receiver = Tracer()
+        receiver.graft(donor.roots[0])
+        assert [r.name for r in receiver.roots] == ["loose"]
+
+    def test_graft_rejects_open_spans(self):
+        tracer = Tracer()
+        span = tracer.span("open")
+        span.__enter__()
+        with pytest.raises(ReproError, match="has not finished"):
+            Tracer().graft(span)
+        span.__exit__(None, None, None)

@@ -8,12 +8,20 @@ metric callables from ``DISTANCE_METRICS``.
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
 
 import repro.stats.distance as distance_module
 from repro.exceptions import MeasurementError
-from repro.stats.distance import DISTANCE_METRICS, pairwise_distances
+from repro.stats.distance import (
+    DISTANCE_METRICS,
+    cosine_distance,
+    pairwise_distances,
+)
 
 from tests.reference_kernels import reference_pairwise_distances
 
@@ -72,3 +80,39 @@ class TestCosineSemanticsPreserved:
         assert result[0, 2] == pytest.approx(2.0, abs=1e-15)
         assert np.all(result >= 0.0)
         assert np.all(result <= 2.0)
+
+
+def _exact_cosine_distance(a, b) -> float:
+    """``1 - cos`` in 80-digit decimal arithmetic, rounded once."""
+    with localcontext() as context:
+        context.prec = 80
+        x = [Decimal(float(v)) for v in a]
+        y = [Decimal(float(v)) for v in b]
+        dot = sum(p * q for p, q in zip(x, y))
+        norms = sum(p * p for p in x).sqrt() * sum(q * q for q in y).sqrt()
+        return max(0.0, float(1 - dot / norms))
+
+
+_coordinates = st.floats(-1e3, 1e3).filter(lambda v: v == 0.0 or abs(v) > 1e-100)
+_point_sets = st.integers(1, 4).flatmap(
+    lambda dim: st.lists(
+        st.lists(_coordinates, min_size=dim, max_size=dim),
+        min_size=2,
+        max_size=5,
+    )
+)
+
+
+@given(points=_point_sets)
+@example(points=[[1.0, 0.0], [1.0, 1e-9], [1.0, 2e-9]])
+def test_cosine_distance_stays_accurate_for_near_parallel_rows(points):
+    """``1 - cos`` cancels for near-parallel rows; the distance must not."""
+    array = np.asarray(points, dtype=float)
+    assume(np.all(np.linalg.norm(array, axis=1) > 0.0))
+    matrix = pairwise_distances(array, metric="cosine")
+    for i in range(len(array)):
+        for j in range(i + 1, len(array)):
+            exact = _exact_cosine_distance(array[i], array[j])
+            bound = 1e-7 * exact + 1e-14 * np.sqrt(exact) + 1e-30
+            assert abs(matrix[i, j] - exact) <= bound
+            assert abs(cosine_distance(array[i], array[j]) - exact) <= bound

@@ -107,17 +107,14 @@ class TestSweepPlanFlags:
         output = capsys.readouterr().out
         assert "sweep plan: 2 variant(s)" in output
         assert "complete" in output and "average" in output
-        assert "cost sources" in output
         # Nothing executed: the plan renders instead of the results table.
         assert "HGM A" not in output
         assert "engine cache" not in output
 
-    def test_workers_auto_is_accepted(self, capsys):
-        assert (
-            main(["sweep", "--linkages", "complete", "--workers", "auto", "--dry-run"])
-            == 0
-        )
-        assert "requested auto" in capsys.readouterr().out
+    def test_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--linkages", "complete", "--workers", "2", "--dry-run"])
+        assert "--workers" in capsys.readouterr().err
 
     def test_dry_run_predicts_replay_after_a_real_run(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")

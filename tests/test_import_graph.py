@@ -1,9 +1,9 @@
-"""What ``import repro.cli`` loads: cold commands must not pay for forking.
+"""What ``import repro.cli`` loads: cold commands pay only for what they use.
 
-Only ``sweep`` with a parallel plan forks and only ``serve`` listens,
-so the process-pool and socket machinery is imported where those run,
-not at start-up.  The check is module membership in a fresh
-interpreter, not a timing.
+No command forks a process pool (sweeps run in one process), only
+``serve`` listens and only ``sweep`` sweeps, so the socket machinery
+and the sweep module are imported where they run, not at start-up.
+The check is module membership in a fresh interpreter, not a timing.
 """
 
 from __future__ import annotations
@@ -16,7 +16,12 @@ from pathlib import Path
 
 import repro
 
-DEFERRED = ("multiprocessing", "concurrent.futures", "socket")
+DEFERRED = (
+    "multiprocessing",
+    "concurrent.futures",
+    "socket",
+    "repro.analysis.sweep",
+)
 
 
 def test_cli_import_defers_process_pool_and_socket_modules():
