@@ -1033,18 +1033,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         else None
     )
 
-    def record(exit_code: int) -> None:
+    def record(exit_code: int) -> str | None:
+        """Append this invocation to the ledger; the error if that fails."""
         if recorder is None:
-            return
-        run_id = RunLedger(ledger_path).append(
-            recorder.finish(
-                metrics=registry,
-                tracer=tracer,
-                exit_code=exit_code,
-                trace_id=context.trace_id if context is not None else None,
+            return None
+        try:
+            run_id = RunLedger(ledger_path).append(
+                recorder.finish(
+                    metrics=registry,
+                    tracer=tracer,
+                    exit_code=exit_code,
+                    trace_id=context.trace_id if context is not None else None,
+                )
             )
-        )
+        except ReproError as error:
+            return str(error)
         log.info(fmt_kv("ledger.recorded", run_id=run_id, path=ledger_path))
+        return None
 
     try:
         with contextlib.ExitStack() as stack:
@@ -1060,8 +1065,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 )
             output = handlers[args.command](args)
     except ReproError as error:
-        record(exit_code=1)
-        print(f"error: {error}", file=sys.stderr)
+        ledger_error = record(exit_code=1)
+        suffix = f"; {ledger_error}" if ledger_error else ""
+        print(f"error: {error}{suffix}", file=sys.stderr)
         return 1
     code = 0
     if isinstance(output, tuple):
@@ -1079,13 +1085,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     if metrics_path:
         registry.write(metrics_path)
         log.info(fmt_kv("metrics.written", path=metrics_path))
-    record(exit_code=code)
+    ledger_error = record(exit_code=code)
 
     try:
         print(output)
     except BrokenPipeError:
         # Downstream pager/`head` closed the pipe; not an error.
         sys.stderr.close()
+    if ledger_error:
+        # The result above stands; only its ledger record was lost.
+        print(f"error: {ledger_error}", file=sys.stderr)
+        return 1
     return code
 
 

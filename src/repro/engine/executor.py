@@ -17,12 +17,16 @@ Every run is instrumented: each stage executes inside a tracing span
 (``stage.<name>``, nested under an ``engine.run`` root span), and the
 per-stage :class:`StageStats` — wall time, cache hit/miss, artifact
 sizes — are built from that span's data and collected into a
-:class:`RunReport` on the returned :class:`EngineRun`.  Optional hooks
+:class:`RunReport` on the returned :class:`EngineRun`.  A stage span
+opens with the stage name and cache key and closes with its cache
+source, so a tracer sees each stage start and finish (the scoring
+service's live events come from exactly that).  Optional hooks
 observe each :class:`StageStats` as it is produced, stage timings and
 cache hit/miss counters land in the ambient metrics registry, and a
-``repro.engine`` logger narrates runs at INFO/DEBUG.  With no tracer
-installed the span calls hit :data:`repro.obs.NULL_TRACER`'s no-op
-fast path, so the instrumentation costs nothing when disabled.
+``repro.engine`` logger narrates runs at INFO/DEBUG.  The tracer is
+always the ambient one; with none installed the span calls hit
+:data:`repro.obs.NULL_TRACER`'s no-op fast path, so the
+instrumentation costs nothing when disabled.
 """
 
 from __future__ import annotations
@@ -161,15 +165,15 @@ class EngineRun:
 class PipelineEngine:
     """Executes stage graphs with cross-run memoization.
 
+    Stage outputs are memoized across runs in an in-memory LRU
+    :class:`~repro.engine.store.StageCache`, so a sweep that varies one
+    knob only recomputes the affected downstream stages.  Each run
+    traces on the ambient tracer (:func:`repro.obs.current_tracer`),
+    so ``with use_tracer(...):`` around a run traces it without
+    touching the engine.
+
     Parameters
     ----------
-    cache:
-        ``True`` (default) memoizes stage outputs across runs, so a
-        sweep that varies one knob only recomputes the affected
-        downstream stages.  ``False`` disables memoization entirely
-        (including the disk cache).
-    max_cache_entries:
-        LRU capacity of the memo, counted in stages.
     disk_cache:
         Persistent backing store for the memo: a
         :class:`~repro.engine.diskcache.DiskCache`, or a directory
@@ -179,16 +183,7 @@ class PipelineEngine:
         ``None`` (default) keeps memoization in-memory only.
     hooks:
         Callables invoked with each :class:`StageStats` as stages
-        finish — e.g. a progress printer or a metrics exporter.  A
-        hook object that additionally exposes a
-        ``stage_started(stage_name, key)`` method is notified *before*
-        each stage executes as well; the scoring service uses this
-        pair to stream live per-stage progress events.
-    tracer:
-        Tracer to record ``engine.run`` / ``stage.*`` spans on.  The
-        default (``None``) resolves :func:`repro.obs.current_tracer`
-        at each run, so ``with use_tracer(...):`` around a run traces
-        it without touching the engine.
+        finish — e.g. a progress printer or a metrics exporter.
     metrics:
         Registry for stage timings and cache counters; ``None``
         resolves :func:`repro.obs.current_metrics` at each run.
@@ -197,22 +192,18 @@ class PipelineEngine:
     def __init__(
         self,
         *,
-        cache: bool = True,
-        max_cache_entries: int = 128,
         disk_cache: DiskCache | str | Path | None = None,
         hooks: Sequence[StageHook] = (),
-        tracer: Tracer | NullTracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        self._cache = StageCache(max_cache_entries) if cache else None
-        if disk_cache is None or not cache:
+        self._cache = StageCache()
+        if disk_cache is None:
             self._disk: DiskCache | None = None
         elif isinstance(disk_cache, DiskCache):
             self._disk = disk_cache
         else:
             self._disk = DiskCache(disk_cache)
         self._hooks = tuple(hooks)
-        self._tracer = tracer
         self._metrics = metrics
 
     def run(
@@ -236,7 +227,7 @@ class PipelineEngine:
         for name, value in sources.items():
             store.put(name, value, given.get(name) or fingerprint(value))
 
-        tracer = self._tracer if self._tracer is not None else current_tracer()
+        tracer = current_tracer()
         metrics = (
             self._metrics if self._metrics is not None else current_metrics()
         )
@@ -274,22 +265,18 @@ class PipelineEngine:
         input_prints = [store.artifact(name).fingerprint for name in stage.inputs]
         key = combine(stage.signature, *input_prints)
 
-        for hook in self._hooks:
-            started_hook = getattr(hook, "stage_started", None)
-            if started_hook is not None:
-                started_hook(stage.name, key)
-
-        with tracer.span(f"stage.{stage.name}", stage=stage.name) as span:
+        with tracer.span(
+            f"stage.{stage.name}", stage=stage.name, key=key
+        ) as span:
             started = time.perf_counter()
-            outputs = self._cache.get(key) if self._cache is not None else None
+            outputs = self._cache.get(key)
             source = "memory" if outputs is not None else "compute"
             if outputs is None and self._disk is not None:
                 outputs = self._disk.get(key, stage=stage.name)
                 if outputs is not None:
                     source = "disk"
                     # Promote so repeats within this process stay in RAM.
-                    if self._cache is not None:
-                        self._cache.put(key, outputs)
+                    self._cache.put(key, outputs)
             if outputs is None:
                 ctx = RunContext(
                     {name: store.get(name) for name in stage.inputs}
@@ -300,13 +287,12 @@ class PipelineEngine:
                         f"stage {stage.name!r}: declared outputs "
                         f"{sorted(stage.outputs)} but produced {sorted(outputs)}"
                     )
-                if self._cache is not None:
-                    self._cache.put(key, outputs)
+                self._cache.put(key, outputs)
                 if self._disk is not None:
                     self._disk.put(key, outputs, stage=stage.name)
             hit = source != "compute"
             elapsed = time.perf_counter() - started
-            span.set(cache_hit=hit, cache_source=source, key=key)
+            span.set(cache_hit=hit, cache_source=source)
 
         # With a real tracer installed the report is built from span
         # data, so trace durations and RunReport agree exactly; the
@@ -354,9 +340,7 @@ class PipelineEngine:
         return stats
 
     def cache_info(self) -> CacheInfo:
-        """Cumulative memo counters (zeros when caching is disabled)."""
-        if self._cache is None:
-            return CacheInfo(hits=0, misses=0, entries=0)
+        """Cumulative memo counters."""
         return self._cache.info()
 
     @property
@@ -370,8 +354,7 @@ class PipelineEngine:
 
     def clear_cache(self) -> None:
         """Forget every memoized stage output (memory and disk)."""
-        if self._cache is not None:
-            self._cache.clear()
+        self._cache.clear()
         if self._disk is not None:
             self._disk.clear()
 

@@ -145,8 +145,6 @@ class ArtifactSizes(Mapping[str, int]):
     """Read-only ``name -> size_bytes`` view over some artifacts.
 
     Sizes are read from the artifacts (so computed lazily, once each).
-    Pickling ships a plain dict of the sizes, measured where the values
-    were built, so an unpickled report carries the same numbers.
     """
 
     __slots__ = ("_artifacts",)
@@ -162,9 +160,6 @@ class ArtifactSizes(Mapping[str, int]):
 
     def __len__(self) -> int:
         return len(self._artifacts)
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        return (dict, (dict(self),))
 
     def __repr__(self) -> str:
         return f"ArtifactSizes({sorted(self._artifacts)})"

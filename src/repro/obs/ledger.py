@@ -119,8 +119,6 @@ class RunRecorder:
     record for :meth:`RunLedger.append`.
     """
 
-    active = True
-
     def __init__(self, command: str, args: Mapping[str, Any] | None = None):
         self.command = command
         self.args = dict(args or {})
@@ -201,8 +199,6 @@ class RunRecorder:
 class NullRecorder:
     """Disabled recorder: :meth:`add_stage` is free and records nothing."""
 
-    active = False
-
     def add_stage(self, stats: Any) -> None:
         """Discard the stage record."""
 
@@ -266,18 +262,24 @@ class RunLedger:
 
         Appenders take turns on an exclusive ``flock``.  The line goes
         out in one ``O_APPEND`` write where the kernel takes it whole,
-        and the rest of a short write follows; a write that fails (a
-        full disk) raises :class:`ReproError`.  When an earlier append
-        was torn and left the file without a trailing newline, the
-        record starts on a fresh line, so the torn line stays the only
-        casualty.
+        and the rest of a short write follows.  A ledger that cannot be
+        opened (its path is a directory, its parent a regular file) or
+        written (a full disk) raises :class:`ReproError`.  When an
+        earlier append was torn and left the file without a trailing
+        newline, the record starts on a fresh line, so the torn line
+        stays the only casualty.
         """
         run_id = str(record.get("run_id", ""))
         if not run_id:
             raise ReproError("RunLedger.append: record has no run_id")
         data = (json.dumps(record, separators=(",", ":")) + "\n").encode("utf-8")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+        except OSError as error:
+            raise ReproError(
+                f"RunLedger.append: cannot open {self.path}: {error}"
+            ) from error
         try:
             # Under the lock the last byte is final, not part of another
             # appender's write in progress.

@@ -35,10 +35,18 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "RESERVOIR_SIZE",
     "current_metrics",
     "set_metrics",
     "use_metrics",
 ]
+
+
+# Observations a histogram retains.  Below it percentiles are exact;
+# no CLI run or benchmark window comes near it.  Past it a long-lived
+# daemon's request histograms stop growing, and each scrape sorts at
+# most this many values.
+RESERVOIR_SIZE = 16_384
 
 
 def _label_key(labels: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
@@ -85,13 +93,12 @@ class Gauge:
 class Histogram:
     """Observation distribution with nearest-rank percentiles.
 
-    By default every observation is kept (runs here are thousands of
-    samples, not millions), so percentiles are exact rather than
-    bucketed.  Long-lived registries — e.g. one feeding the run
-    ledger — can cap memory with ``max_samples``: observations beyond
-    the cap enter a deterministic reservoir (Algorithm R over a
-    fixed-seed PRNG), keeping ``count``/``total``/``max`` exact while
-    percentiles become reservoir estimates.
+    The first :data:`RESERVOIR_SIZE` observations are all kept (runs
+    here are thousands of samples, not millions), so percentiles are
+    exact rather than bucketed.  Observations beyond that enter a
+    deterministic reservoir (Algorithm R over a fixed-seed PRNG), so a
+    long-lived daemon's histograms stay bounded: ``count``/``total``/
+    ``max`` remain exact while percentiles become reservoir estimates.
 
     An observation may carry a **trace-id exemplar**
     (``observe(dt, trace_id=...)``): the histogram remembers the id of
@@ -105,23 +112,16 @@ class Histogram:
         "_sum",
         "_max",
         "_exemplar",
-        "max_samples",
         "_rng",
     )
 
-    def __init__(self, max_samples: int | None = None) -> None:
-        if max_samples is not None and max_samples < 1:
-            raise ReproError(
-                f"Histogram: max_samples must be >= 1, got {max_samples}"
-            )
+    def __init__(self) -> None:
         self._values: list[float] = []
         self._count = 0
         self._sum = 0.0
         self._max: float | None = None
         self._exemplar: dict[str, Any] | None = None
-        self.max_samples = max_samples
-        # Seeded so capped percentile estimates are reproducible.
-        self._rng = random.Random(0x5EED) if max_samples is not None else None
+        self._rng: random.Random | None = None
 
     def observe(self, value: float, *, trace_id: str | None = None) -> None:
         """Record one observation, optionally tagged with a trace id.
@@ -140,27 +140,30 @@ class Histogram:
             self._exemplar is None or value > self._exemplar["value"]
         ):
             self._exemplar = {"value": value, "trace_id": str(trace_id)}
-        # Admit the sample, through the reservoir when capped.
-        if self.max_samples is None or len(self._values) < self.max_samples:
+        # Admit the sample, through the reservoir once it is full.
+        if len(self._values) < RESERVOIR_SIZE:
             self._values.append(value)
             return
-        slot = self._rng.randrange(self._count)  # type: ignore[union-attr]
-        if slot < self.max_samples:
+        if self._rng is None:
+            # Seeded so reservoir percentile estimates are reproducible.
+            self._rng = random.Random(0x5EED)
+        slot = self._rng.randrange(self._count)
+        if slot < RESERVOIR_SIZE:
             self._values[slot] = value
 
     @property
     def count(self) -> int:
-        """Number of observations (exact even when sampling is capped)."""
+        """Number of observations (exact past the reservoir size too)."""
         return self._count
 
     @property
     def total(self) -> float:
-        """Sum of observations (exact even when sampling is capped)."""
+        """Sum of observations (exact past the reservoir size too)."""
         return self._sum
 
     @property
     def samples(self) -> tuple[float, ...]:
-        """The retained observations (all of them unless capped)."""
+        """The retained observations (all of them up to the reservoir size)."""
         return tuple(self._values)
 
     @property
@@ -214,18 +217,13 @@ class MetricsRegistry:
     An instrument is identified by ``(name, labels)``; asking for the
     same identity twice returns the same object.  Asking for an
     existing name as a different instrument kind raises.
-
-    ``histogram_max_samples`` caps every histogram the registry
-    creates (see :class:`Histogram`); the default ``None`` keeps all
-    observations.
     """
 
-    def __init__(self, *, histogram_max_samples: int | None = None) -> None:
+    def __init__(self) -> None:
         self._instruments: dict[
             tuple[str, tuple[tuple[str, str], ...]], Counter | Gauge | Histogram
         ] = {}
         self._kinds: dict[str, type] = {}
-        self._histogram_max_samples = histogram_max_samples
         # The scoring service shares one registry across handler
         # threads; the lock keeps concurrent first-use creation from
         # dropping an instrument (two threads racing past the None
@@ -247,12 +245,7 @@ class MetricsRegistry:
             key = (name, _label_key(labels))
             instrument = self._instruments.get(key)
             if instrument is None:
-                if kind is Histogram:
-                    instrument = Histogram(
-                        max_samples=self._histogram_max_samples
-                    )
-                else:
-                    instrument = kind()
+                instrument = kind()
                 self._instruments[key] = instrument
                 self._kinds[name] = kind
             return instrument

@@ -74,6 +74,23 @@ def _trace_prefix(record: Mapping[str, Any]) -> str:
     return str(trace_id)[:12] if trace_id else "-"
 
 
+def _run_summary(record: Mapping[str, Any]) -> dict[str, Any]:
+    """One run's listing fields: the ``obs runs`` row and JSON entry."""
+    return {
+        "run_id": str(record.get("run_id", "?")),
+        "timestamp_unix": record.get("timestamp_unix"),
+        "command": str(record.get("command", "?")),
+        "source": run_source(str(record.get("command", "?"))),
+        "args_fingerprint": str(record.get("args_fingerprint", "?")),
+        "wall_seconds": float(record.get("wall_seconds", 0.0)),
+        "exit_code": record.get("exit_code"),
+        "stages": len(record.get("stages") or ()),
+        "cache_sources": dict(
+            sorted((record.get("cache_sources") or {}).items())
+        ),
+    }
+
+
 def render_runs_table(
     records: Iterable[Mapping[str, Any]], *, limit: int = 15
 ) -> str:
@@ -95,17 +112,17 @@ def render_runs_table(
         ],
         [
             (
-                str(r.get("run_id", "?")),
-                _when(r),
-                run_source(str(r.get("command", "?"))),
-                str(r.get("command", "?")),
-                f"{float(r.get('wall_seconds', 0.0)):.3f}s",
-                len(r.get("stages") or ()),
-                _cache_summary(r),
-                str(r.get("args_fingerprint", "?")),
+                summary["run_id"],
+                _when(summary),
+                summary["source"],
+                summary["command"],
+                f"{summary['wall_seconds']:.3f}s",
+                summary["stages"],
+                _cache_summary(summary),
+                summary["args_fingerprint"],
                 _trace_prefix(r),
             )
-            for r in rows
+            for r, summary in zip(rows, map(_run_summary, rows))
         ],
     )
     return table + f"\n{len(rows)} run(s) shown (newest last)"
@@ -211,6 +228,55 @@ def render_event(seq: int, name: str, data: Mapping[str, Any]) -> str:
     return f"{seq:>5}  {name:<16} {detail}"
 
 
+def _stage_deltas(
+    a: Mapping[str, Any],
+    b: Mapping[str, Any],
+    threshold: float | None,
+    caller: str,
+) -> tuple[list[dict[str, Any]], list[str], float, float]:
+    """Per-stage entries from run ``a`` to run ``b``, the regressed
+    stage names, and both runs' stage totals.
+
+    ``change_pct`` is ``None`` for an added or removed stage and
+    ``inf`` when ``a`` took no time; ``status`` is ``added``,
+    ``removed``, ``regression``, ``improved`` or ``unchanged``.
+    """
+    walls_a, walls_b = stage_walls(a), stage_walls(b)
+    names = sorted(set(walls_a) | set(walls_b))
+    if not names:
+        raise ReproError(f"{caller}: neither run recorded stage data")
+    stages = []
+    regressed: list[str] = []
+    for name in names:
+        wall_a, wall_b = walls_a.get(name), walls_b.get(name)
+        change: float | None = None
+        if wall_a is None or wall_b is None:
+            status = "added" if wall_a is None else "removed"
+        else:
+            if wall_a > 0:
+                change = 100.0 * (wall_b - wall_a) / wall_a
+            else:
+                change = 0.0 if wall_b == 0 else float("inf")
+            if threshold is not None and change > threshold:
+                status = "regression"
+                regressed.append(name)
+            else:
+                status = "improved" if change < 0 else "unchanged"
+        stages.append(
+            {
+                "stage": name,
+                "a_seconds": wall_a,
+                "b_seconds": wall_b,
+                "change_pct": change,
+                "status": status,
+            }
+        )
+    return stages, regressed, sum(walls_a.values()), sum(walls_b.values())
+
+
+_DIFF_NOTES = {"regression": "<-- REGRESSION", "improved": "improved"}
+
+
 def render_diff(
     a: Mapping[str, Any],
     b: Mapping[str, Any],
@@ -225,38 +291,25 @@ def render_diff(
     present in only one run are listed as added/removed and do not
     count as regressions.
     """
-    walls_a, walls_b = stage_walls(a), stage_walls(b)
-    names = sorted(set(walls_a) | set(walls_b))
-    if not names:
-        raise ReproError("render_diff: neither run recorded stage data")
-    rows = []
-    regressed: list[str] = []
-    for name in names:
-        wall_a, wall_b = walls_a.get(name), walls_b.get(name)
-        if wall_a is None:
-            rows.append((name, "-", f"{wall_b * 1e3:.1f}ms", "added", ""))
-            continue
-        if wall_b is None:
-            rows.append((name, f"{wall_a * 1e3:.1f}ms", "-", "removed", ""))
-            continue
-        if wall_a > 0:
-            change = 100.0 * (wall_b - wall_a) / wall_a
-            change_text = f"{change:+.1f}%"
-        else:
-            change = 0.0 if wall_b == 0 else float("inf")
-            change_text = "+inf%" if change else "+0.0%"
-        over = threshold is not None and change > threshold
-        if over:
-            regressed.append(name)
-        rows.append(
-            (
-                name,
-                f"{wall_a * 1e3:.1f}ms",
-                f"{wall_b * 1e3:.1f}ms",
-                change_text,
-                "<-- REGRESSION" if over else ("improved" if change < 0 else ""),
-            )
+    stages, regressed, total_a, total_b = _stage_deltas(
+        a, b, threshold, "render_diff"
+    )
+
+    def ms(seconds: float | None) -> str:
+        return "-" if seconds is None else f"{seconds * 1e3:.1f}ms"
+
+    rows = [
+        (
+            entry["stage"],
+            ms(entry["a_seconds"]),
+            ms(entry["b_seconds"]),
+            entry["status"]
+            if entry["change_pct"] is None
+            else f"{entry['change_pct']:+.1f}%",
+            _DIFF_NOTES.get(entry["status"], ""),
         )
+        for entry in stages
+    ]
     lines = [
         f"a: {a.get('run_id', '?')}  ({a.get('command', '?')}, "
         f"wall {float(a.get('wall_seconds', 0.0)):.3f}s, "
@@ -267,8 +320,6 @@ def render_diff(
         "",
         format_table(["stage", "a", "b", "delta", ""], rows),
     ]
-    total_a = sum(walls_a.values())
-    total_b = sum(walls_b.values())
     if total_a > 0:
         lines.append(
             f"\nstage total: {total_a * 1e3:.1f}ms -> {total_b * 1e3:.1f}ms "
@@ -290,22 +341,6 @@ def render_diff(
 # ---------------------------------------------------------------------------
 
 _RENDER_SCHEMA_VERSION = 1
-
-
-def _run_summary(record: Mapping[str, Any]) -> dict[str, Any]:
-    return {
-        "run_id": str(record.get("run_id", "?")),
-        "timestamp_unix": record.get("timestamp_unix"),
-        "command": str(record.get("command", "?")),
-        "source": run_source(str(record.get("command", "?"))),
-        "args_fingerprint": str(record.get("args_fingerprint", "?")),
-        "wall_seconds": float(record.get("wall_seconds", 0.0)),
-        "exit_code": record.get("exit_code"),
-        "stages": len(record.get("stages") or ()),
-        "cache_sources": dict(
-            sorted((record.get("cache_sources") or {}).items())
-        ),
-    }
 
 
 def runs_payload(
@@ -330,49 +365,16 @@ def diff_payload(
 ) -> tuple[dict[str, Any], bool]:
     """The ``obs diff --json`` payload plus the regression verdict.
 
-    Mirrors :func:`render_diff` exactly: same per-stage percent
-    changes, same threshold semantics, same added/removed handling —
-    the JSON is the machine-readable twin of the ASCII table.
+    Built from the same per-stage deltas as :func:`render_diff`, so the
+    JSON is the machine-readable twin of the ASCII table.  An infinite
+    change (``a`` took no time) is ``null`` in ``change_pct``.
     """
-    walls_a, walls_b = stage_walls(a), stage_walls(b)
-    names = sorted(set(walls_a) | set(walls_b))
-    if not names:
-        raise ReproError("diff_payload: neither run recorded stage data")
-    stages = []
-    regressed: list[str] = []
-    for name in names:
-        wall_a, wall_b = walls_a.get(name), walls_b.get(name)
-        if wall_a is None:
-            stages.append(
-                {"stage": name, "a_seconds": None, "b_seconds": wall_b,
-                 "change_pct": None, "status": "added"}
-            )
-            continue
-        if wall_b is None:
-            stages.append(
-                {"stage": name, "a_seconds": wall_a, "b_seconds": None,
-                 "change_pct": None, "status": "removed"}
-            )
-            continue
-        if wall_a > 0:
-            change = 100.0 * (wall_b - wall_a) / wall_a
-        else:
-            change = 0.0 if wall_b == 0 else float("inf")
-        over = threshold is not None and change > threshold
-        if over:
-            regressed.append(name)
-        stages.append(
-            {
-                "stage": name,
-                "a_seconds": wall_a,
-                "b_seconds": wall_b,
-                "change_pct": None if change == float("inf") else change,
-                "status": (
-                    "regression" if over else
-                    ("improved" if change < 0 else "unchanged")
-                ),
-            }
-        )
+    stages, regressed, total_a, total_b = _stage_deltas(
+        a, b, threshold, "diff_payload"
+    )
+    for entry in stages:
+        if entry["change_pct"] == float("inf"):
+            entry["change_pct"] = None
     payload = {
         "schema": _RENDER_SCHEMA_VERSION,
         "kind": "obs-diff",
@@ -381,7 +383,7 @@ def diff_payload(
         "threshold_pct": threshold,
         "stages": stages,
         "regressed": regressed,
-        "total_a_seconds": sum(walls_a.values()),
-        "total_b_seconds": sum(walls_b.values()),
+        "total_a_seconds": total_a,
+        "total_b_seconds": total_b,
     }
     return payload, bool(regressed)

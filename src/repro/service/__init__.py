@@ -18,6 +18,10 @@ Layering (all stdlib — ``asyncio`` streams, no web framework):
 * :mod:`repro.service.runtime` — the transport-free core: warm
   engine, request handlers, compute counters, the async job registry
   and ``service:<endpoint>`` ledger records;
+* :mod:`repro.service.events` — live run events: each async job's
+  bounded :class:`~repro.service.events.RunEventStream`, fed by the
+  request's :class:`~repro.service.events.EventTapTracer` (stage
+  starts and finishes, SOM epochs) and streamed by ``/events``;
 * :mod:`repro.service.app` — :class:`ScoringService`: routing,
   per-key in-flight coalescing (identical concurrent requests compute
   once and share one response body), bounded concurrency, graceful
@@ -32,13 +36,7 @@ Start one with ``repro-hmeans serve --port 8311`` and see
 
 from repro.service.app import ScoringService
 from repro.service.client import ServiceClient, ServiceThread, SseEvent
-from repro.service.events import (
-    EngineEventHook,
-    EventTapTracer,
-    RunEventStream,
-    current_stream,
-    use_stream,
-)
+from repro.service.events import EventTapTracer, RunEventStream
 from repro.service.runtime import ServiceRuntime
 from repro.service.schemas import (
     AnalyzeRequest,
@@ -50,7 +48,6 @@ from repro.service.schemas import (
 
 __all__ = [
     "AnalyzeRequest",
-    "EngineEventHook",
     "EventTapTracer",
     "RunEventStream",
     "ScoreRequest",
@@ -60,8 +57,6 @@ __all__ = [
     "ServiceThread",
     "SseEvent",
     "ValidationError",
-    "current_stream",
-    "use_stream",
     "validate_analyze_request",
     "validate_score_request",
 ]

@@ -40,7 +40,7 @@ from repro.obs.ledger import new_run_id
 from repro.obs.log import fmt_kv, get_logger
 from repro.obs.metrics import set_metrics
 from repro.obs.trace import Tracer, use_tracer
-from repro.service.events import EventTapTracer, RunEventStream, use_stream
+from repro.service.events import EventTapTracer, RunEventStream
 from repro.service.http import (
     DEFAULT_MAX_BODY_BYTES,
     HttpError,
@@ -792,11 +792,12 @@ class ScoringService:
     ) -> _Response:
         """Run one analyze on a worker thread with observability installed.
 
-        The originating request's trace context, the job's event
-        stream, and (when the daemon traces) a per-request tracer are
+        The originating request's trace context and (when the job
+        streams or the daemon traces) a per-request tracer are
         installed ambiently *inside this thread* — the engine and the
         SOM pick them up via their ContextVars.  The tracer is an
-        :class:`EventTapTracer` when a stream wants live SOM progress.
+        :class:`EventTapTracer` when a stream wants live stage and SOM
+        progress.
         """
         tracer: Tracer | None = None
         if stream is not None:
@@ -807,8 +808,6 @@ class ScoringService:
             with contextlib.ExitStack() as scopes:
                 if context is not None:
                     scopes.enter_context(use_context(context))
-                if stream is not None:
-                    scopes.enter_context(use_stream(stream))
                 if tracer is not None:
                     scopes.enter_context(use_tracer(tracer))
                 payload = self.runtime.analyze(analyze_request)

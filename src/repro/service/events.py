@@ -3,29 +3,27 @@
 A long ``/analyze`` over a big suite used to be a black box until its
 ledger record appeared.  This module makes the run observable *while
 it executes*: the runtime gives every async job a bounded
-:class:`RunEventStream`, the engine's per-stage hooks and the SOM's
-span activity fan into it from the compute thread, and
-``GET /events/{run_id}`` (see :mod:`repro.service.app`) replays and
-follows it over Server-Sent Events.
+:class:`RunEventStream`, the request's :class:`EventTapTracer` fans
+the engine's stage spans and the SOM's span activity into it from the
+compute thread, and ``GET /events/{run_id}`` (see
+:mod:`repro.service.app`) replays and follows it over Server-Sent
+Events.
 
-Three cooperating pieces:
+Two cooperating pieces:
 
 * :class:`RunEventStream` — a thread-safe, bounded, sequence-numbered
   event log with replay (``events_after``) for ``Last-Event-ID``
   resume and thread-to-loop wakeups for live followers.  Bounded by
   ``max_events``: a runaway producer overwrites the oldest events
   (tracked in ``dropped``) instead of growing without limit.
-* :class:`EngineEventHook` — a :class:`~repro.engine.PipelineEngine`
-  hook pair (``stage_started`` + finished callable) that emits
-  ``stage.started`` / ``stage.finished`` events into the *ambient*
-  stream.  Ambient carriage uses a ``ContextVar``
-  (:func:`use_stream`), so one shared engine serving concurrent
-  requests attributes each stage to the run that executed it.
-* :class:`EventTapTracer` — a recording :class:`~repro.obs.trace.Tracer`
-  whose spans mirror SOM training progress into the stream:
-  ``som.epoch`` completions (epoch index, wall, opt-in quantization
-  error) and ``qe`` quality samples become ``som.epoch`` / ``som.qe``
-  events, so the slow middle of a run narrates itself.
+* :class:`EventTapTracer` — a recording :class:`~repro.obs.trace.Tracer`,
+  installed ambiently for one request, whose spans narrate the run:
+  ``stage.*`` spans become ``stage.started`` / ``stage.finished``
+  events, ``som.epoch`` completions (epoch index, wall, opt-in
+  quantization error) and ``qe`` quality samples become ``som.epoch``
+  / ``som.qe`` events.  The tracer is per request, so one shared
+  engine serving concurrent requests attributes each stage to the run
+  that executed it.
 
 Event payloads are JSON-safe dicts; the SSE layer serializes them with
 sorted keys so a resumed consumer sees byte-identical frames.
@@ -34,12 +32,10 @@ sorted keys so a resumed consumer sees byte-identical frames.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import threading
 from collections import deque
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
-from repro.engine.executor import StageStats
 from repro.exceptions import ReproError
 from repro.obs.trace import Span, Tracer
 
@@ -47,10 +43,7 @@ __all__ = [
     "EVENT_SCHEMA_VERSION",
     "DEFAULT_MAX_EVENTS",
     "RunEventStream",
-    "EngineEventHook",
     "EventTapTracer",
-    "current_stream",
-    "use_stream",
 ]
 
 EVENT_SCHEMA_VERSION = 1
@@ -64,7 +57,7 @@ DEFAULT_MAX_EVENTS = 1024
 class RunEventStream:
     """A bounded, replayable, sequence-numbered event log for one run.
 
-    Producers (engine hooks on compute threads) call :meth:`emit`;
+    Producers (tap tracers on compute threads) call :meth:`emit`;
     consumers (SSE handlers on the event loop) read
     :meth:`events_after` and register a wakeup callable to learn about
     new events without polling.  :meth:`close` marks the stream
@@ -158,52 +151,6 @@ class RunEventStream:
         )
 
 
-_stream_var: contextvars.ContextVar[RunEventStream | None] = (
-    contextvars.ContextVar("repro_event_stream", default=None)
-)
-
-
-def current_stream() -> RunEventStream | None:
-    """The ambient event stream, or ``None`` outside a streamed run."""
-    return _stream_var.get()
-
-
-@contextlib.contextmanager
-def use_stream(stream: RunEventStream | None) -> Iterator[RunEventStream | None]:
-    """Install ``stream`` ambiently for the duration of a ``with`` block."""
-    token = _stream_var.set(stream)
-    try:
-        yield stream
-    finally:
-        _stream_var.reset(token)
-
-
-class EngineEventHook:
-    """Engine hook pair fanning stage lifecycle into the ambient stream.
-
-    Install once on a shared engine; with no ambient stream both
-    callbacks return after one ``ContextVar`` read, so unstreamed
-    requests pay nothing.
-    """
-
-    def stage_started(self, stage: str, key: str) -> None:
-        """Emit ``stage.started`` before the engine executes a stage."""
-        stream = current_stream()
-        if stream is not None:
-            stream.emit("stage.started", stage=stage, key=key)
-
-    def __call__(self, stats: StageStats) -> None:
-        stream = current_stream()
-        if stream is not None:
-            stream.emit(
-                "stage.finished",
-                stage=stats.stage,
-                cache_source=stats.cache_source,
-                cache_hit=stats.cache_hit,
-                wall_seconds=stats.wall_seconds,
-            )
-
-
 class _TapSpan(Span):
     """A span that mirrors its ``qe`` quality samples into the stream."""
 
@@ -218,12 +165,17 @@ class _TapSpan(Span):
 
 
 class EventTapTracer(Tracer):
-    """A recording tracer that narrates SOM progress as it happens.
+    """A recording tracer that narrates a run as it happens.
 
     Behaves exactly like :class:`~repro.obs.trace.Tracer` (spans are
     recorded, trace-context stamping applies, the finished forest can
     be grafted or exported) and *additionally* emits:
 
+    * ``stage.started`` — when a ``stage.*`` span opens: stage name and
+      cache key (the engine opens each stage span with both);
+    * ``stage.finished`` — when that span closes cleanly: cache source,
+      cache hit and the span's wall seconds.  A stage that raises
+      closes with an ``error`` attribute and emits nothing;
     * ``som.epoch`` — when an epoch span closes: epoch index, wall
       seconds, quantization error when the span tracked one, and the
       pruning counters the span carries;
@@ -239,8 +191,29 @@ class EventTapTracer(Tracer):
             raise ReproError("Tracer.span: empty span name")
         return _TapSpan(self, name, attributes)
 
+    def _push(self, span: Span) -> None:
+        super()._push(span)
+        if span.name.startswith("stage."):
+            attributes = span.attributes
+            self._stream.emit(
+                "stage.started",
+                stage=attributes.get("stage"),
+                key=attributes.get("key"),
+            )
+
     def _pop(self, span: Span) -> None:
         super()._pop(span)
+        if span.name.startswith("stage."):
+            attributes = span.attributes
+            if "error" not in attributes:
+                self._stream.emit(
+                    "stage.finished",
+                    stage=attributes.get("stage"),
+                    cache_source=attributes.get("cache_source"),
+                    cache_hit=attributes.get("cache_hit"),
+                    wall_seconds=span.duration_seconds,
+                )
+            return
         if span.name != "som.epoch":
             return
         data: dict[str, Any] = {}

@@ -47,7 +47,7 @@ from repro.exceptions import ReproError
 from repro.obs.ledger import RunLedger, RunRecorder
 from repro.obs.log import fmt_kv, get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.service.events import EngineEventHook, RunEventStream
+from repro.service.events import RunEventStream
 from repro.service.schemas import AnalyzeRequest, ScoreRequest
 from repro.som.som import SOMConfig
 from repro.workloads.suite import BenchmarkSuite
@@ -134,18 +134,15 @@ class ServiceRuntime:
         self._job_counter = 0
         self._streams: dict[str, RunEventStream] = {}
         # One engine for the daemon's lifetime: the warm substrate.
-        # Metrics are pinned to the runtime registry; the tracer is
-        # left unpinned (None) so each run resolves the *ambient*
-        # tracer — a ContextVar, so concurrent handler threads that
-        # install per-request tracers stay isolated while untraced
-        # requests fall through to the free NullTracer path.  The
-        # event hook fans stage lifecycle into the ambient per-run
-        # stream (also a ContextVar; no stream → no cost).
+        # Metrics are pinned to the runtime registry; each run traces
+        # on the *ambient* tracer — a ContextVar, so concurrent handler
+        # threads that install per-request tracers (an EventTapTracer
+        # for a streamed job) stay isolated while untraced requests
+        # fall through to the free NullTracer path.
         self.engine = PipelineEngine(
             disk_cache=self.cache_dir,
             metrics=self.registry,
-            tracer=None,
-            hooks=(self._count_compute, EngineEventHook()),
+            hooks=(self._count_compute,),
         )
 
     # -- observability -----------------------------------------------------

@@ -315,13 +315,6 @@ class TestEngineIntegration:
         assert engine.disk_cache is None
         assert engine.disk_cache_info() is None
 
-    def test_cache_false_disables_disk_cache(self, tmp_path):
-        calls: list[str] = []
-        engine = PipelineEngine(cache=False, disk_cache=tmp_path)
-        engine.run(self._stages(calls), {})
-        assert engine.disk_cache is None
-        assert list((tmp_path).rglob("*.npz")) == []
-
 
 class TestPipelineEquivalence:
     def test_cold_and_warm_pipeline_runs_are_identical(self, tmp_path, paper_suite):

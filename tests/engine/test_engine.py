@@ -127,22 +127,18 @@ class TestMemoization:
         assert run.report.cache_hits == 0
         assert calls == {"a": 2, "b": 2, "c": 2}
 
-    def test_cache_disabled_recomputes(self):
-        calls = {"a": 0, "b": 0, "c": 0}
-        engine = PipelineEngine(cache=False)
-        engine.run(_chain(calls), {"source": 3})
-        engine.run(_chain(calls), {"source": 3})
-        assert calls == {"a": 2, "b": 2, "c": 2}
-        assert engine.cache_info().entries == 0
-
     def test_lru_eviction(self):
-        calls = {"a": 0, "b": 0, "c": 0}
-        engine = PipelineEngine(max_cache_entries=2)
-        engine.run(_chain(calls), {"source": 3})  # 3 stages > 2 slots
-        engine.run(_chain(calls), {"source": 3})
-        # Stage a's entry was evicted by b/c, so it recomputes; its
-        # recompute then evicts b, and so on — nothing can hit.
-        assert calls["a"] == 2
+        cache = StageCache(2)
+        for key in ("a", "b", "c"):  # 3 stages > 2 slots
+            cache.put(key, {"out": key})
+        # a was evicted by c; b and c stay, and a read refreshes b so
+        # the next insert evicts c.
+        assert cache.get("a") is None
+        assert cache.get("b") == {"out": "b"}
+        cache.put("d", {"out": "d"})
+        assert cache.get("c") is None
+        assert cache.get("b") == {"out": "b"}
+        assert cache.info().entries == 2
 
     def test_clear_cache(self):
         calls = {"a": 0, "b": 0, "c": 0}

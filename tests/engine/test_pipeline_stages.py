@@ -97,7 +97,7 @@ class TestDeterminism:
         warm_engine = PipelineEngine()
         _pipeline(warm_engine).run(paper_suite)  # populate the cache
         cached = _pipeline(warm_engine).run(paper_suite)
-        cold = _pipeline(PipelineEngine(cache=False)).run(paper_suite)
+        cold = _pipeline(PipelineEngine()).run(paper_suite)
         assert cached.run_report.cache_hits == 6
         assert cold.run_report.cache_hits == 0
         assert cached.positions == cold.positions

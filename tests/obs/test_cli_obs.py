@@ -211,6 +211,22 @@ class TestLedgerRecording:
         assert record["exit_code"] == 1
 
 
+    def test_unwritable_ledger_is_one_error_line(self, tmp_path, capsys):
+        # The table is computed and printed; the lost record turns the
+        # exit code to 1 with one ``error:`` line, not a traceback.
+        assert main(["table4", "--ledger", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert "2 Clusters" in out
+        assert err.count("error:") == 1 and "cannot open" in err
+
+    def test_unwritable_ledger_on_a_failed_run(self, tmp_path, capsys):
+        argv = ["sweep", "--linkages", ",", "--ledger", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "no linkage rules" in err and "cannot open" in err
+
+
 class TestObsCommands:
     @pytest.fixture
     def seeded_ledger(self, tmp_path):

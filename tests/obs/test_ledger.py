@@ -105,7 +105,6 @@ class TestRunRecorder:
 class TestAmbientRecorder:
     def test_default_is_null_and_free(self):
         assert current_recorder() is NULL_RECORDER
-        assert not NULL_RECORDER.active
         NULL_RECORDER.add_stage(_stats())  # no-op, no error
 
     def test_use_recorder_scopes_installation(self):
@@ -223,6 +222,13 @@ class TestRunLedger:
         monkeypatch.setattr(os, "write", no_space)
         with pytest.raises(ReproError, match="No space left"):
             RunLedger(tmp_path / "runs.jsonl").append(_record())
+
+    def test_unopenable_path_raises_repro_error(self, tmp_path):
+        with pytest.raises(ReproError, match="cannot open"):
+            RunLedger(tmp_path).append(_record())
+        (tmp_path / "afile").write_text("not a directory")
+        with pytest.raises(ReproError, match="cannot open"):
+            RunLedger(tmp_path / "afile" / "runs.jsonl").append(_record())
 
     def test_find_by_position_index_and_prefix(self, tmp_path):
         ledger = RunLedger(tmp_path / "runs.jsonl")

@@ -11,6 +11,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    RESERVOIR_SIZE,
     MetricsRegistry,
     current_metrics,
     set_metrics,
@@ -200,55 +201,41 @@ class TestDeterministicDumps:
 
 
 class TestHistogramReservoir:
-    """Satellite: optional max_samples cap via Algorithm R."""
+    """Every histogram keeps at most RESERVOIR_SIZE samples (Algorithm R)."""
 
     def test_uncapped_by_default(self):
         histogram = Histogram()
         for i in range(5000):
             histogram.observe(float(i))
-        assert len(histogram.samples) == 5000
+        assert len(histogram.samples) == 5000 < RESERVOIR_SIZE
 
     def test_cap_bounds_memory_but_keeps_exact_count_sum_max(self):
-        histogram = Histogram(max_samples=100)
-        for i in range(10_000):
+        histogram = Histogram()
+        n = 2 * RESERVOIR_SIZE
+        for i in range(n):
             histogram.observe(float(i))
-        assert len(histogram.samples) == 100
-        assert histogram.count == 10_000
-        assert histogram.total == sum(range(10_000))
-        assert histogram.max == 9999.0
+        assert len(histogram.samples) == RESERVOIR_SIZE
+        assert histogram.count == n
+        assert histogram.total == sum(range(n))
+        assert histogram.max == float(n - 1)
         summary = histogram.summary()
-        assert summary["count"] == 10_000
-        assert summary["sum"] == pytest.approx(float(sum(range(10_000))))
+        assert summary["count"] == n
+        assert summary["sum"] == pytest.approx(float(sum(range(n))))
 
     def test_percentiles_stay_within_tolerance_under_capping(self):
-        exact = Histogram()
-        capped = Histogram(max_samples=500)
         # Fixed-seed reservoir + deterministic input -> reproducible
         # estimates; a uniform ramp makes the expected quantiles obvious.
-        for i in range(20_000):
-            value = float(i % 1000)
-            exact.observe(value)
-            capped.observe(value)
-        for q in (50.0, 90.0, 99.0):
-            true = exact.percentile(q)
+        capped = Histogram()
+        for i in range(8 * RESERVOIR_SIZE):
+            capped.observe(float(i % 1000))
+        assert len(capped.samples) == RESERVOIR_SIZE
+        for q, true in ((50.0, 499.0), (90.0, 899.0), (99.0, 989.0)):
             estimate = capped.percentile(q)
-            assert abs(estimate - true) <= 60, (q, true, estimate)
-
-    def test_cap_validates(self):
-        with pytest.raises(ReproError, match="max_samples"):
-            Histogram(max_samples=0)
+            assert abs(estimate - true) <= 20, (q, true, estimate)
 
     def test_below_cap_behaves_exactly(self):
-        capped = Histogram(max_samples=1000)
+        histogram = Histogram()
         for value in (5.0, 1.0, 3.0):
-            capped.observe(value)
-        assert capped.percentile(50) == 3.0
-        assert sorted(capped.samples) == [1.0, 3.0, 5.0]
-
-    def test_registry_passes_cap_to_new_histograms(self):
-        registry = MetricsRegistry(histogram_max_samples=10)
-        histogram = registry.histogram("capped_seconds")
-        for i in range(100):
-            histogram.observe(float(i))
-        assert len(histogram.samples) == 10
-        assert histogram.count == 100
+            histogram.observe(value)
+        assert histogram.percentile(50) == 3.0
+        assert sorted(histogram.samples) == [1.0, 3.0, 5.0]

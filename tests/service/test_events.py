@@ -1,8 +1,7 @@
 """Unit contracts of the live-event plumbing (no sockets involved).
 
-:class:`RunEventStream` ordering/replay/bounding/wakeups, the engine
-hook's ambient-stream fan-in, and the tap tracer that narrates SOM
-epochs.  The HTTP face of the same machinery is covered in
+:class:`RunEventStream` ordering/replay/bounding/wakeups, and the tap
+tracer that narrates engine stages and SOM epochs.  The HTTP face of the same machinery is covered in
 ``test_sse.py``.
 """
 
@@ -12,26 +11,13 @@ import threading
 
 import pytest
 
-from repro.engine.executor import StageStats
-from repro.obs import new_context, use_context
+from repro.engine import FunctionStage, PipelineEngine
+from repro.obs import new_context, use_context, use_tracer
 from repro.service.events import (
     DEFAULT_MAX_EVENTS,
-    EngineEventHook,
     EventTapTracer,
     RunEventStream,
-    current_stream,
-    use_stream,
 )
-
-
-def _stats(stage: str, source: str = "compute") -> StageStats:
-    return StageStats(
-        stage=stage,
-        key="k" * 8,
-        wall_seconds=0.25,
-        cache_source=source,
-        cache_hit=source != "compute",
-    )
 
 
 class TestRunEventStream:
@@ -114,41 +100,47 @@ class TestRunEventStream:
         assert seqs == sorted(seqs)
 
 
-class TestAmbientStream:
-    def test_default_is_none(self):
-        assert current_stream() is None
-
-    def test_use_stream_scopes(self):
-        stream = RunEventStream("svc-1")
-        with use_stream(stream):
-            assert current_stream() is stream
-        assert current_stream() is None
-
-
-class TestEngineEventHook:
-    def test_no_ambient_stream_is_a_noop(self):
-        hook = EngineEventHook()
-        hook.stage_started("characterize", "key")
-        hook(_stats("characterize"))  # nothing to assert: must not raise
-
-    def test_stage_lifecycle_fans_into_the_stream(self):
-        hook = EngineEventHook()
-        stream = RunEventStream("svc-1")
-        with use_stream(stream):
-            hook.stage_started("characterize", "key123")
-            hook(_stats("characterize", source="disk"))
-        events = stream.events_after(0)
-        assert [(name, data.get("stage")) for _, name, data in events] == [
-            ("stage.started", "characterize"),
-            ("stage.finished", "characterize"),
-        ]
-        finished = events[1][2]
-        assert finished["cache_source"] == "disk"
-        assert finished["cache_hit"] is True
-        assert finished["wall_seconds"] == pytest.approx(0.25)
-
-
 class TestEventTapTracer:
+    def test_stage_span_emits_started_then_finished(self):
+        stream = RunEventStream("svc-1")
+        engine = PipelineEngine()
+        stage = FunctionStage("x", lambda a: a + 1, inputs=("a",), outputs=("b",))
+        with use_tracer(EventTapTracer(stream)):
+            cold = engine.run([stage], {"a": 1}).report.stats_for("x")
+            warm = engine.run([stage], {"a": 1}).report.stats_for("x")
+        events = stream.events_after(0)
+        assert [name for _, name, _ in events] == [
+            "stage.started",
+            "stage.finished",
+        ] * 2
+        for (_, _, started), (_, _, finished), stats in (
+            (events[0], events[1], cold),
+            (events[2], events[3], warm),
+        ):
+            assert started == {"stage": "x", "key": stats.key}
+            assert finished == {
+                "stage": "x",
+                "cache_source": stats.cache_source,
+                "cache_hit": stats.cache_hit,
+                "wall_seconds": stats.wall_seconds,
+            }
+        assert (cold.cache_source, warm.cache_source) == ("compute", "memory")
+
+    def test_raising_stage_emits_started_only(self):
+        stream = RunEventStream("svc-1")
+
+        def boom(a):
+            raise ValueError("stage failed")
+
+        stage = FunctionStage("x", boom, inputs=("a",), outputs=("b",))
+        with use_tracer(EventTapTracer(stream)):
+            with pytest.raises(ValueError):
+                PipelineEngine().run([stage], {"a": 1})
+        events = stream.events_after(0)
+        assert [(name, data["stage"]) for _, name, data in events] == [
+            ("stage.started", "x")
+        ]
+
     def test_epoch_spans_emit_som_epoch_events(self):
         stream = RunEventStream("svc-1")
         tracer = EventTapTracer(stream)
@@ -198,6 +190,6 @@ class TestEventTapTracer:
         stream = RunEventStream("svc-1")
         tracer = EventTapTracer(stream)
         with tracer.span("pipeline.run"):
-            with tracer.span("stage.characterize"):
+            with tracer.span("som.fit"):
                 pass
         assert stream.events_after(0) == []

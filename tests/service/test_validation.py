@@ -117,6 +117,17 @@ class TestHttpRejections:
             head = sock.recv(65536).decode("latin-1")
         assert head.startswith("HTTP/1.1 400 ")
 
+    def test_unwritable_ledger_never_fails_a_request(self, tmp_path):
+        # Telemetry is best effort: a ledger path that is a directory
+        # loses the record (logged as service.ledger_error), not the
+        # response.
+        runtime = ServiceRuntime(ledger_path=str(tmp_path))
+        with ServiceThread(runtime=runtime) as server:
+            status, payload = server.client().score(
+                {"measurements": {"A": {"x": 2.0}}, "partition": [["x"]]}
+            )
+        assert status == 200, payload
+
     def test_rejections_are_ledger_visible(self, service_server):
         client = service_server.client()
         client.post_json("/score", {"bogus": True})
