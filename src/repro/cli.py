@@ -1073,28 +1073,41 @@ def main(argv: Sequence[str] | None = None) -> int:
     if isinstance(output, tuple):
         output, code = output
 
+    # An unwritable --trace/--metrics path loses only that file: the
+    # result still prints and the ledger still gets the run's record.
+    errors = []
     if tracer is not None and trace_path:
-        tracer.write(trace_path)
-        log.info(
-            fmt_kv(
-                "trace.written",
-                path=trace_path,
-                spans=sum(1 for _ in tracer.spans()),
+        try:
+            tracer.write(trace_path)
+        except OSError as error:
+            errors.append(f"cannot write trace to {trace_path}: {error}")
+        else:
+            log.info(
+                fmt_kv(
+                    "trace.written",
+                    path=trace_path,
+                    spans=sum(1 for _ in tracer.spans()),
+                )
             )
-        )
     if metrics_path:
-        registry.write(metrics_path)
-        log.info(fmt_kv("metrics.written", path=metrics_path))
-    ledger_error = record(exit_code=code)
+        try:
+            registry.write(metrics_path)
+        except OSError as error:
+            errors.append(f"cannot write metrics to {metrics_path}: {error}")
+        else:
+            log.info(fmt_kv("metrics.written", path=metrics_path))
+    ledger_error = record(exit_code=1 if errors else code)
+    if ledger_error:
+        errors.append(ledger_error)
 
     try:
         print(output)
     except BrokenPipeError:
         # Downstream pager/`head` closed the pipe; not an error.
         sys.stderr.close()
-    if ledger_error:
-        # The result above stands; only its ledger record was lost.
-        print(f"error: {ledger_error}", file=sys.stderr)
+    if errors:
+        # The result above stands; only its telemetry was lost.
+        print(f"error: {'; '.join(errors)}", file=sys.stderr)
         return 1
     return code
 

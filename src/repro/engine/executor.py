@@ -20,13 +20,16 @@ sizes — are built from that span's data and collected into a
 :class:`RunReport` on the returned :class:`EngineRun`.  A stage span
 opens with the stage name and cache key and closes with its cache
 source, so a tracer sees each stage start and finish (the scoring
-service's live events come from exactly that).  Optional hooks
-observe each :class:`StageStats` as it is produced, stage timings and
-cache hit/miss counters land in the ambient metrics registry, and a
-``repro.engine`` logger narrates runs at INFO/DEBUG.  The tracer is
-always the ambient one; with none installed the span calls hit
-:data:`repro.obs.NULL_TRACER`'s no-op fast path, so the
-instrumentation costs nothing when disabled.
+service's live events come from exactly that).  Each
+:class:`StageStats` also goes to the ambient run recorder
+(:func:`repro.obs.ledger.current_recorder`), the one sink every ledger
+record's stages come from; stage timings and cache hit/miss counters
+land in the ambient metrics registry, and a ``repro.engine`` logger
+narrates runs at INFO/DEBUG.  Tracer, recorder and registry are always
+the ambient ones; with no tracer or recorder installed the calls hit
+the no-op :data:`repro.obs.NULL_TRACER` and
+:data:`repro.obs.NULL_RECORDER`, so the instrumentation costs nothing
+when disabled.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.engine.diskcache import DiskCache, DiskCacheInfo
 from repro.engine.fingerprint import combine, fingerprint
@@ -56,8 +59,6 @@ __all__ = [
     "run_single",
     "precompute_stage_keys",
 ]
-
-StageHook = Callable[["StageStats"], None]
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,9 @@ class PipelineEngine:
     knob only recomputes the affected downstream stages.  Each run
     traces on the ambient tracer (:func:`repro.obs.current_tracer`),
     so ``with use_tracer(...):`` around a run traces it without
-    touching the engine.
+    touching the engine; stage stats go to the ambient recorder and
+    metrics to the ambient registry (:func:`repro.obs.current_metrics`)
+    the same way.
 
     Parameters
     ----------
@@ -181,20 +184,12 @@ class PipelineEngine:
         then disk; computed outputs are written to both, so a fresh
         process re-running a known pipeline skips every stage.
         ``None`` (default) keeps memoization in-memory only.
-    hooks:
-        Callables invoked with each :class:`StageStats` as stages
-        finish — e.g. a progress printer or a metrics exporter.
-    metrics:
-        Registry for stage timings and cache counters; ``None``
-        resolves :func:`repro.obs.current_metrics` at each run.
     """
 
     def __init__(
         self,
         *,
         disk_cache: DiskCache | str | Path | None = None,
-        hooks: Sequence[StageHook] = (),
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self._cache = StageCache()
         if disk_cache is None:
@@ -203,8 +198,6 @@ class PipelineEngine:
             self._disk = disk_cache
         else:
             self._disk = DiskCache(disk_cache)
-        self._hooks = tuple(hooks)
-        self._metrics = metrics
 
     def run(
         self,
@@ -228,9 +221,7 @@ class PipelineEngine:
             store.put(name, value, given.get(name) or fingerprint(value))
 
         tracer = current_tracer()
-        metrics = (
-            self._metrics if self._metrics is not None else current_metrics()
-        )
+        metrics = current_metrics()
         collected: list[StageStats] = []
         with tracer.span("engine.run", stages=len(ordered)) as run_span:
             for stage in ordered:
@@ -331,8 +322,6 @@ class PipelineEngine:
                 )
             )
 
-        for hook in self._hooks:
-            hook(stats)
         # The ambient run recorder (see repro.obs.ledger) persists
         # per-stage walls and cache sources across process exits; the
         # default NULL_RECORDER makes this free when no ledger is on.

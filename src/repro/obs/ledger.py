@@ -9,15 +9,19 @@ sources, a metrics snapshot and — when tracing was on — the full span
 tree), and the ``repro-hmeans obs`` subcommands read it back for
 listing, flame views and regression diffs.
 
-Recording is ambient, mirroring tracing and metrics: the CLI driver
-opens a :class:`RunRecorder` for the invocation and installs it with
-:func:`use_recorder`; :class:`~repro.engine.executor.PipelineEngine`
-feeds every :class:`~repro.engine.executor.StageStats` to
-:func:`current_recorder` as stages finish (the default
-:data:`NULL_RECORDER` swallows them for free); at exit the CLI calls
-:meth:`RunRecorder.finish` and :meth:`RunLedger.append` writes the
-line with one ``O_APPEND`` write, so concurrent runs do not
-interleave records.
+Recording is ambient, mirroring tracing: the recorder slot is a
+:class:`contextvars.ContextVar`, so each thread sees only the recorder
+it installed (an asyncio task, the one current when it was created).  The CLI driver opens one
+:class:`RunRecorder` per invocation and installs it with
+:func:`use_recorder`; the scoring service opens one per request, and
+the coalescing leader's compute thread installs it around the
+analysis.  :class:`~repro.engine.executor.PipelineEngine` feeds every
+:class:`~repro.engine.executor.StageStats` to :func:`current_recorder`
+as stages finish (the default :data:`NULL_RECORDER` swallows them for
+free), so every record's stages come from this one sink.  At the end
+:meth:`RunRecorder.finish` builds the record and
+:meth:`RunLedger.append` writes the line with one ``O_APPEND`` write,
+so concurrent runs do not interleave records.
 
 Enable it with ``--ledger [FILE]`` on any subcommand or the
 ``REPRO_LEDGER`` environment variable; ``repro-hmeans serve`` honors
@@ -27,6 +31,7 @@ both for its per-request records.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import fcntl
 import hashlib
 import json
@@ -205,21 +210,25 @@ class NullRecorder:
 
 NULL_RECORDER = NullRecorder()
 
-_current_recorder: RunRecorder | NullRecorder = NULL_RECORDER
+# A ContextVar, like the tracer's: each CLI invocation and each service
+# request installs its own recorder, and an engine run on another
+# thread never feeds it.
+_current_recorder_var: contextvars.ContextVar[RunRecorder | NullRecorder] = (
+    contextvars.ContextVar("repro_recorder", default=NULL_RECORDER)
+)
 
 
 def current_recorder() -> RunRecorder | NullRecorder:
     """The ambient recorder (:data:`NULL_RECORDER` unless installed)."""
-    return _current_recorder
+    return _current_recorder_var.get()
 
 
 def set_recorder(
     recorder: RunRecorder | NullRecorder,
 ) -> RunRecorder | NullRecorder:
     """Install ``recorder`` as ambient; returns the previous one."""
-    global _current_recorder
-    previous = _current_recorder
-    _current_recorder = recorder
+    previous = _current_recorder_var.get()
+    _current_recorder_var.set(recorder)
     return previous
 
 
@@ -309,21 +318,12 @@ class RunLedger:
             )
         return run_id
 
-    def records(
-        self,
-        *,
-        last: int | None = None,
-        command: str | None = None,
-    ) -> list[dict[str, Any]]:
+    def records(self) -> list[dict[str, Any]]:
         """Parseable records, oldest first (corrupt lines skipped).
 
-        ``command`` keeps only records of that subcommand; ``last``
-        then keeps the newest N of what survived.  A torn line (an
-        append cut short by a full disk) parses as corrupt and is
-        skipped like any other damaged line.
+        A torn line (an append cut short by a full disk) parses as
+        corrupt and is skipped like any other damaged line.
         """
-        if last is not None and last < 1:
-            raise ReproError(f"RunLedger.records: last must be >= 1, got {last}")
         if not self.path.exists():
             raise ReproError(f"RunLedger: no ledger at {self.path}")
         records = []
@@ -345,10 +345,6 @@ class RunLedger:
                     continue
                 if isinstance(record, dict) and record.get("run_id"):
                     records.append(record)
-        if command is not None:
-            records = [r for r in records if r.get("command") == command]
-        if last is not None:
-            records = records[-last:]
         return records
 
     def size_bytes(self) -> int:

@@ -32,11 +32,11 @@ import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable
+from typing import Callable
 
 from repro.exceptions import ReproError
 from repro.obs.context import TraceContext, current_context, new_context, use_context
-from repro.obs.ledger import new_run_id
+from repro.obs.ledger import RunRecorder, new_run_id, use_recorder
 from repro.obs.log import fmt_kv, get_logger
 from repro.obs.metrics import set_metrics
 from repro.obs.trace import Tracer, use_tracer
@@ -94,7 +94,7 @@ def _endpoint_label(path: str) -> str:
 class _Response:
     """One computed response plus the metadata the transport needs."""
 
-    __slots__ = ("status", "body", "content_type", "keep_alive", "stages")
+    __slots__ = ("status", "body", "content_type", "keep_alive")
 
     def __init__(
         self,
@@ -103,13 +103,11 @@ class _Response:
         *,
         content_type: str = _JSON,
         keep_alive: bool = True,
-        stages: Any = None,
     ) -> None:
         self.status = status
         self.body = body
         self.content_type = content_type
         self.keep_alive = keep_alive
-        self.stages = stages
 
 
 class _SseHandoff:
@@ -249,10 +247,11 @@ class ScoringService:
                 self.runtime.finish_job(
                     job, status=JOB_DROPPED, error="dropped: server draining"
                 )
+                # A fresh recorder: the dropped job delivered nothing,
+                # so its record carries no stages (its leader's compute
+                # may still be feeding the job's own recorder).
                 self.runtime.record_request(
-                    job.endpoint,
-                    job.request,
-                    wall_seconds=time.time() - job.submitted_unix,
+                    self.runtime.recorder(job.endpoint, job.request),
                     exit_code=1,
                     run_id=job.run_id,
                     error="dropped: server draining",
@@ -594,7 +593,7 @@ class ScoringService:
             raise
         canonical = score_request.canonical()
         key = self.runtime.request_key("score", canonical)
-        started = time.perf_counter()
+        recorder = self.runtime.recorder("score", canonical)
         # Pre-minted so the leader's run id is known to followers the
         # moment the shared task exists (coalesced_with needs it).
         run_id = new_run_id("service:score")
@@ -602,9 +601,7 @@ class ScoringService:
             key, lambda: self._compute_score(score_request), run_id=run_id
         )
         self.runtime.record_request(
-            "score",
-            canonical,
-            wall_seconds=time.perf_counter() - started,
+            recorder,
             exit_code=0 if computed.status < 400 else 1,
             run_id=run_id,
             coalesced=not computed.leader,
@@ -639,20 +636,19 @@ class ScoringService:
                 },
             )
 
-        started = time.perf_counter()
+        recorder = self.runtime.recorder("analyze", canonical)
         context = current_context()
         run_id = new_run_id("service:analyze")
         computed = await self._coalesce(
             key,
-            lambda: self._compute_analyze(analyze_request, context=context),
+            lambda: self._compute_analyze(
+                analyze_request, context=context, stream=None, recorder=recorder
+            ),
             run_id=run_id,
         )
         self.runtime.record_request(
-            "analyze",
-            canonical,
-            wall_seconds=time.perf_counter() - started,
+            recorder,
             exit_code=0 if computed.status < 400 else 1,
-            stages=computed.stages,
             run_id=run_id,
             coalesced=not computed.leader,
             coalesced_with=None if computed.leader else computed.leader_run_id,
@@ -662,19 +658,22 @@ class ScoringService:
     async def _run_job(self, job, key: str, analyze_request) -> None:
         """Drive one async ``/analyze`` job through the coalescing map.
 
-        The job's event stream and the submitting request's trace
-        context ride into the compute closure explicitly — executor
-        threads inherit neither, and the coalescing leader's closure
-        is the one that actually runs.
+        The job's event stream, recorder and the submitting request's
+        trace context ride into the compute closure explicitly —
+        executor threads inherit none of them, and the coalescing
+        leader's closure is the one that actually runs.
         """
-        started = time.perf_counter()
+        recorder = self.runtime.recorder(job.endpoint, job.request)
         stream = self.runtime.stream(job.run_id)
         context = current_context()
         try:
             computed = await self._coalesce(
                 key,
                 lambda: self._compute_analyze(
-                    analyze_request, context=context, stream=stream
+                    analyze_request,
+                    context=context,
+                    stream=stream,
+                    recorder=recorder,
                 ),
                 run_id=job.run_id,
             )
@@ -684,9 +683,7 @@ class ScoringService:
         except Exception as exc:  # defensive: compute wraps its errors
             self.runtime.finish_job(job, status=JOB_FAILED, error=repr(exc))
             self.runtime.record_request(
-                job.endpoint,
-                job.request,
-                wall_seconds=time.perf_counter() - started,
+                recorder,
                 exit_code=1,
                 run_id=job.run_id,
                 error=repr(exc),
@@ -703,11 +700,8 @@ class ScoringService:
             error = json.loads(computed.body.decode("utf-8"))["error"]["detail"]
             self.runtime.finish_job(job, status=JOB_FAILED, error=error)
         self.runtime.record_request(
-            job.endpoint,
-            job.request,
-            wall_seconds=time.perf_counter() - started,
+            recorder,
             exit_code=0 if computed.status < 400 else 1,
-            stages=computed.stages,
             run_id=job.run_id,
             coalesced=not computed.leader,
             coalesced_with=None if computed.leader else computed.leader_run_id,
@@ -716,9 +710,7 @@ class ScoringService:
 
     def _record_rejection(self, endpoint: str) -> None:
         self.runtime.record_request(
-            endpoint,
-            {},
-            wall_seconds=0.0,
+            self.runtime.recorder(endpoint, {}),
             exit_code=1,
             error="request rejected by validation",
         )
@@ -787,15 +779,18 @@ class ScoringService:
         self,
         analyze_request,
         *,
-        context: TraceContext | None = None,
-        stream: RunEventStream | None = None,
+        context: TraceContext | None,
+        stream: RunEventStream | None,
+        recorder: RunRecorder | None,
     ) -> _Response:
         """Run one analyze on a worker thread with observability installed.
 
-        The originating request's trace context and (when the job
-        streams or the daemon traces) a per-request tracer are
-        installed ambiently *inside this thread* — the engine and the
-        SOM pick them up via their ContextVars.  The tracer is an
+        The originating request's trace context, its ledger recorder
+        (when the daemon has a ledger) and (when the job streams or
+        the daemon traces) a per-request tracer are installed ambiently
+        *inside this thread* — the engine and the SOM pick them up via
+        their ContextVars, so the engine feeds this request's recorder
+        exactly this run's stages.  The tracer is an
         :class:`EventTapTracer` when a stream wants live stage and SOM
         progress.
         """
@@ -808,6 +803,8 @@ class ScoringService:
             with contextlib.ExitStack() as scopes:
                 if context is not None:
                     scopes.enter_context(use_context(context))
+                if recorder is not None:
+                    scopes.enter_context(use_recorder(recorder))
                 if tracer is not None:
                     scopes.enter_context(use_tracer(tracer))
                 payload = self.runtime.analyze(analyze_request)
@@ -820,9 +817,7 @@ class ScoringService:
             response = _Response(status, body)
         else:
             status, body = json_response(200, payload)
-            response = _Response(
-                status, body, stages=payload.get("report", {}).get("stages")
-            )
+            response = _Response(status, body)
         self._absorb_trace(tracer)
         return response
 
@@ -849,13 +844,12 @@ class _Inflight:
 class _Computed:
     """A coalesced result: the shared response plus this caller's role."""
 
-    __slots__ = ("status", "body", "stages", "leader", "leader_run_id")
+    __slots__ = ("status", "body", "leader", "leader_run_id")
 
     def __init__(
         self, response: _Response, leader: bool, leader_run_id: str | None
     ) -> None:
         self.status = response.status
         self.body = response.body
-        self.stages = response.stages
         self.leader = leader
         self.leader_run_id = leader_run_id

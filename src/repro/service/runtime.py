@@ -8,10 +8,13 @@ requests and survives independently of any particular transport:
   the reason a warm ``/score`` answers in microseconds while a cold
   CLI run pays the full SOM training;
 * a :class:`~repro.obs.metrics.MetricsRegistry` that accumulates for
-  the daemon's whole lifetime and backs ``GET /metricsz``;
-* per-stage **compute counters** (an engine hook counting only
-  ``cache_source == "compute"`` executions) — the observable the
-  single-compute coalescing guarantee is tested against;
+  the daemon's whole lifetime and backs ``GET /metricsz`` (the
+  service points the ambient registry at it, so the engine's stage
+  timings and cache counters land there);
+* per-stage **compute counters** (each analysis's
+  :class:`~repro.engine.executor.RunReport` stages with
+  ``cache_source == "compute"``) — the observable the single-compute
+  coalescing guarantee is tested against;
 * the async job registry behind ``POST /analyze {"wait": false}`` and
   ``GET /runs/{id}``;
 * ``service:<endpoint>`` run-ledger records for every request, so
@@ -22,10 +25,12 @@ Everything here is callable synchronously (tests and the benchmark
 drive it directly); :mod:`repro.service.app` adds the asyncio
 transport, coalescing and concurrency control on top.
 
-Thread-safety: request handlers run on a thread pool, so the runtime
-never touches the *ambient* recorder (a process-global that threads
-would fight over) — ledger records are built explicitly from each
-run's :class:`~repro.engine.executor.RunReport` instead.
+Ledger records: each request gets its own
+:class:`~repro.obs.ledger.RunRecorder` from :meth:`ServiceRuntime.recorder`
+(``None`` without a ledger).  The recorder slot is a ContextVar, so the
+compute thread that runs an analysis installs the request's recorder
+and the engine feeds it that run's stages, as it feeds the CLI's; no
+other thread's run can reach it.
 """
 
 from __future__ import annotations
@@ -34,14 +39,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.analysis.pipeline import WorkloadAnalysisPipeline
 from repro.analysis.stages import suite_fingerprint
 from repro.core.partition import Partition
 from repro.core.scoring import SuiteScorer, rank_machines
-from repro.engine.executor import PipelineEngine, StageStats
+from repro.engine.executor import PipelineEngine
 from repro.engine.fingerprint import combine, fingerprint
 from repro.exceptions import ReproError
 from repro.obs.ledger import RunLedger, RunRecorder
@@ -134,26 +138,13 @@ class ServiceRuntime:
         self._job_counter = 0
         self._streams: dict[str, RunEventStream] = {}
         # One engine for the daemon's lifetime: the warm substrate.
-        # Metrics are pinned to the runtime registry; each run traces
-        # on the *ambient* tracer — a ContextVar, so concurrent handler
-        # threads that install per-request tracers (an EventTapTracer
-        # for a streamed job) stay isolated while untraced requests
-        # fall through to the free NullTracer path.
-        self.engine = PipelineEngine(
-            disk_cache=self.cache_dir,
-            metrics=self.registry,
-            hooks=(self._count_compute,),
-        )
+        # Each run traces and records on the *ambient* tracer and
+        # recorder — ContextVars, so concurrent handler threads that
+        # install per-request ones stay isolated while untraced,
+        # unrecorded requests fall through to the free null paths.
+        self.engine = PipelineEngine(disk_cache=self.cache_dir)
 
     # -- observability -----------------------------------------------------
-
-    def _count_compute(self, stats: StageStats) -> None:
-        if stats.cache_source != "compute":
-            return
-        with self._lock:
-            self._compute_counts[stats.stage] = (
-                self._compute_counts.get(stats.stage, 0) + 1
-            )
 
     @property
     def compute_counts(self) -> dict[str, int]:
@@ -161,51 +152,52 @@ class ServiceRuntime:
 
         This is the single-compute observable: N coalesced identical
         ``/analyze`` requests must leave every stage at exactly 1.
+        Counts come from the reports of analyses that finish; one that
+        raises returns no report, so the stages it computed before
+        failing are not counted here (its ledger record lists them).
         """
         with self._lock:
             return dict(self._compute_counts)
 
+    def recorder(
+        self, endpoint: str, args: Mapping[str, Any]
+    ) -> RunRecorder | None:
+        """A fresh recorder for one request's ledger record.
+
+        ``None`` when the daemon has no ledger, so unrecorded requests
+        install nothing and the engine keeps the free
+        :data:`~repro.obs.ledger.NULL_RECORDER` path.  The record's
+        wall time runs from this call to :meth:`record_request`.
+        """
+        if self.ledger is None:
+            return None
+        return RunRecorder(f"service:{endpoint}", dict(args))
+
     def record_request(
         self,
-        endpoint: str,
-        args: Mapping[str, Any],
+        recorder: RunRecorder | None,
         *,
-        wall_seconds: float,
         exit_code: int = 0,
-        stages: Sequence[Mapping[str, Any]] | None = None,
         run_id: str | None = None,
         coalesced: bool = False,
         coalesced_with: str | None = None,
         error: str | None = None,
-        trace_id: str | None = None,
     ) -> str | None:
         """Append one ``service:<endpoint>`` ledger record; returns its id.
 
-        Stage entries come from the explicit response ``stages`` list
-        (never the ambient recorder — handler threads would
-        cross-contaminate a global).  Coalesced followers record with
-        an empty stage list and a ``coalesced_with`` pointer at the
-        leader's ledger record: the leader carries the computation, so
-        the ledger never counts one engine run twice while
-        ``obs show`` can still hop follower → leader.  ``trace_id``
-        stamps the originating request identity so the record resolves
-        by trace-id prefix (``obs show <prefix>``).
+        The stages are the ones the engine fed ``recorder`` while the
+        compute thread had it installed.  Only a coalescing leader's
+        compute runs, so a follower's recorder stays empty and its
+        record carries a ``coalesced_with`` pointer at the leader's
+        record instead: the ledger never counts one engine run twice
+        while ``obs show`` can still hop follower → leader.  The
+        ambient trace context, when sampled, stamps the originating
+        request identity so the record resolves by trace-id prefix
+        (``obs show <prefix>``).
         """
-        if self.ledger is None:
+        if recorder is None or self.ledger is None:
             return None
-        recorder = RunRecorder(f"service:{endpoint}", dict(args))
-        if stages and not coalesced:
-            for stats in stages:
-                recorder.add_stage(
-                    SimpleNamespace(
-                        stage=stats["stage"],
-                        wall_seconds=stats["wall_seconds"],
-                        cache_source=stats["cache_source"],
-                        cache_hit=stats["cache_source"] != "compute",
-                    )
-                )
-        record = recorder.finish(exit_code=exit_code, trace_id=trace_id)
-        record["wall_seconds"] = wall_seconds
+        record = recorder.finish(exit_code=exit_code)
         record["coalesced"] = coalesced
         if coalesced_with is not None:
             record["coalesced_with"] = coalesced_with
@@ -217,7 +209,11 @@ class ServiceRuntime:
             return self.ledger.append(record)
         except ReproError as exc:  # never fail a request over telemetry
             _log.warning(
-                fmt_kv("service.ledger_error", endpoint=endpoint, error=str(exc))
+                fmt_kv(
+                    "service.ledger_error",
+                    command=recorder.command,
+                    error=str(exc),
+                )
             )
             return None
 
@@ -304,7 +300,14 @@ class ServiceRuntime:
             som_mode=request.som_mode,
         )
         result = pipeline.run(self.suite)
+        # The pipeline always runs on the engine, so the report is set.
         report = result.run_report
+        with self._lock:
+            for stats in report.stages:
+                if stats.cache_source == "compute":
+                    self._compute_counts[stats.stage] = (
+                        self._compute_counts.get(stats.stage, 0) + 1
+                    )
         payload: dict[str, Any] = {
             "schema": SERVICE_SCHEMA_VERSION,
             "kind": "service-analyze",
@@ -318,11 +321,9 @@ class ServiceRuntime:
                         "cache_source": stats.cache_source,
                     }
                     for stats in report.stages
-                ]
-                if report is not None
-                else [],
-                "cache_hits": report.cache_hits if report is not None else 0,
-                "cache_misses": report.cache_misses if report is not None else 0,
+                ],
+                "cache_hits": report.cache_hits,
+                "cache_misses": report.cache_misses,
             },
         }
         return payload

@@ -51,10 +51,10 @@ have returned that one.  It remains to show the threshold keeps
 vectors.  The margin has two terms:
 
 * **Float32 bound.**  The GEMM rounds ``B`` at the scale of the
-  *centered* norms.  A relative slack ``margin * (||x_c||^2 +
-  max ||w_c||^2 + probe score)`` (``margin = 1e-4``, some 1,000 float32
-  ulps) covers it: no unit's computed bound exceeds its true distance
-  ``t(u)`` by that much.
+  *centered* norms.  A relative slack ``_MARGIN * (||x_c||^2 +
+  max ||w_c||^2 + probe score)`` (``_MARGIN = 1e-4``, some 1,000
+  float32 ulps) covers it: no unit's computed bound exceeds its true
+  distance ``t(u)`` by that much.
 * **Dense rounding.**  The dense scores round at the scale of the
   *uncentered* norms.  With machine epsilon ``eps`` and
   ``N = ||x||^2 + 2 max ||w||^2``, a length-``D`` dot product is off
@@ -82,7 +82,7 @@ The search hands the whole call to :func:`repro.som.bmu.bmu_indices`
 when pruning cannot pay or cannot help: rank-starved data (``q < 2``:
 a one-dimensional projection bounds too loosely), calls below
 ``_MIN_PRUNED_PAIRS`` sample-unit pairs, a non-finite threshold, or a
-shortlist covering more than ``max_share`` of all pairs.  Fallbacks
+shortlist covering more than ``_MAX_SHARE`` of all pairs.  Fallbacks
 are exact by construction and counted in the search stats.
 """
 
@@ -116,6 +116,23 @@ _EPS = float(np.finfo(np.float64).eps)
 # docs/PERFORMANCE.md.
 _MIN_PRUNED_PAIRS = 16_000
 
+# Dimension of the PCA projection the bound uses.  Higher rank tightens
+# the bound (smaller shortlists) but widens the prefilter GEMM; 32 keeps
+# shortlists near one candidate per sample even on data that is only
+# approximately low-rank (log-normal counter matrices), while cleanly
+# low-rank data already saturates at 8.
+_RANK = 32
+
+# Relative slack added to the keep threshold to absorb float32 rounding
+# in the bound matrix (the dense scores' own rounding gets a separate
+# term, see the module docstring); small enough that shortlists stay
+# tiny.
+_MARGIN = 1e-4
+
+# Whole-call exact fallback when the shortlist would cover more than
+# this share of all (sample, unit) pairs.
+_MAX_SHARE = 0.5
+
 
 class PrunedBMUSearch:
     """Batch BMU search over one matrix with a projected lower bound.
@@ -138,39 +155,13 @@ class PrunedBMUSearch:
         center and its leading components the projection basis.
         ``None`` when the matrix has too few samples for a PCA: every
         call then scores densely.
-    rank:
-        Dimension of the PCA projection used by the bound.  Higher
-        rank tightens the bound (smaller shortlists) but widens the
-        prefilter GEMM.  The default of 32 keeps shortlists near one
-        candidate per sample even on data that is only approximately
-        low-rank (log-normal counter matrices); on cleanly low-rank
-        data a rank of 8 already saturates.
-    margin:
-        Relative slack added to the keep threshold to absorb float32
-        rounding in the bound matrix (the dense scores' own rounding
-        gets a separate term, see the module docstring).  Small
-        enough that shortlists stay tiny.
-    max_share:
-        Whole-call exact fallback triggers when the shortlist would
-        cover more than this share of all (sample, unit) pairs.
     """
 
-    def __init__(
-        self,
-        matrix: np.ndarray,
-        pca: PCA | None,
-        *,
-        rank: int = 32,
-        margin: float = 1e-4,
-        max_share: float = 0.5,
-    ) -> None:
+    def __init__(self, matrix: np.ndarray, pca: PCA | None) -> None:
         self.matrix = matrix
         self.pca = pca
-        self.rank = int(rank)
-        self.margin = float(margin)
-        self.max_share = float(max_share)
         kept = 0 if pca is None else pca.explained_variance.size
-        self._q = min(self.rank, matrix.shape[1] - 1, kept)
+        self._q = min(_RANK, matrix.shape[1] - 1, kept)
         self._bound_buf: np.ndarray | None = None
         self._mask_buf: np.ndarray | None = None
         # Lifetime counters; see ``stats``.
@@ -305,7 +296,7 @@ class PrunedBMUSearch:
         dense_error = 2.0 * (matrix.shape[1] + 2) * _EPS * (
             prep["sq_norms"] + 2.0 * float(sq_norms_w.max())
         )
-        margin_term = dense_error + self.margin * (
+        margin_term = dense_error + _MARGIN * (
             sq_centered_x + float(np.abs(sq_centered_w).max()) + exact_probe
         )
         neg_thr = ((sq_centered_x - exact_probe) - margin_term).astype(
@@ -350,7 +341,7 @@ class PrunedBMUSearch:
         flat = np.flatnonzero(mask)
         sample_all = flat // units
         unit_all = flat - sample_all * units
-        if sample_all.size > self.max_share * samples * units:
+        if sample_all.size > _MAX_SHARE * samples * units:
             # The bound barely discriminates (e.g. near-identical
             # weights): one dense exact pass beats segmented scoring.
             self.exhaustive += samples * units

@@ -39,7 +39,7 @@ from repro.som.batch import (
     apply_epoch_terms,
     exact_epoch_terms,
 )
-from repro.som.bmu import bmu_indices
+from repro.som.bmu import bmu_indices, bmu_scores
 from repro.som.bmu_fast import PrunedBMUSearch
 from repro.som.decay import DecaySchedule, resolve_decay
 from repro.som.grid import Grid
@@ -679,28 +679,31 @@ class SelfOrganizingMap:
 
     # -- queries ------------------------------------------------------------------
 
-    def _bmu_of(self, sample: np.ndarray) -> int:
-        assert self._weights is not None
-        diff = self._weights - sample
-        return int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
-
     def _bmus_of(self, matrix: np.ndarray) -> np.ndarray:
         assert self._weights is not None
         # The same einsum search batch training uses, so projection
         # agrees with the BMUs the last epoch saw (see repro.som.bmu).
         return bmu_indices(matrix, self._weights)
 
-    def best_matching_unit(self, vector: Sequence[float] | np.ndarray) -> int:
-        """Index of the unit whose weight vector is nearest to ``vector``."""
+    def _unit_scores(self, vector: Sequence[float] | np.ndarray) -> np.ndarray:
+        """One sample's unit scores under :func:`~repro.som.bmu.bmu_scores`.
+
+        The rule :meth:`project` and the quality gauges rank with, so a
+        single-sample query picks the unit a batch query would.
+        """
         self._require_trained()
-        sample = self._as_data(vector)[0]
+        sample = self._as_data(vector)[:1]
         assert self._weights is not None
-        if sample.size != self._weights.shape[1]:
+        if sample.shape[1] != self._weights.shape[1]:
             raise SOMError(
-                f"SOM: vector has dimension {sample.size}, map expects "
+                f"SOM: vector has dimension {sample.shape[1]}, map expects "
                 f"{self._weights.shape[1]}"
             )
-        return self._bmu_of(sample)
+        return bmu_scores(sample, self._weights)[0]
+
+    def best_matching_unit(self, vector: Sequence[float] | np.ndarray) -> int:
+        """Index of the unit whose weight vector is nearest to ``vector``."""
+        return int(np.argmin(self._unit_scores(vector)))
 
     def second_best_matching_unit(
         self, vector: Sequence[float] | np.ndarray
@@ -712,19 +715,12 @@ class SelfOrganizingMap:
         is the other one (never the BMU again).
         """
         self._require_trained()
-        sample = self._as_data(vector)[0]
         assert self._weights is not None
         if self._weights.shape[0] < 2:
             raise SOMError("SOM: map has a single unit; no second BMU exists")
-        if sample.size != self._weights.shape[1]:
-            raise SOMError(
-                f"SOM: vector has dimension {sample.size}, map expects "
-                f"{self._weights.shape[1]}"
-            )
-        diff = self._weights - sample
-        distances = np.einsum("ij,ij->i", diff, diff)
-        distances[np.argmin(distances)] = np.inf
-        return int(np.argmin(distances))
+        scores = self._unit_scores(vector)
+        scores[np.argmin(scores)] = np.inf
+        return int(np.argmin(scores))
 
     def project(
         self, data: Sequence[Sequence[float]] | np.ndarray

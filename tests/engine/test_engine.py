@@ -166,13 +166,6 @@ class TestInstrumentation:
         with pytest.raises(EngineError, match="no stage named"):
             run.report.stats_for("nope")
 
-    def test_hooks_observe_every_stage(self):
-        calls = {"a": 0, "b": 0, "c": 0}
-        seen = []
-        engine = PipelineEngine(hooks=[lambda s: seen.append(s.stage)])
-        engine.run(_chain(calls), {"source": 3})
-        assert seen == ["a", "b", "c"]
-
 
 class TestFingerprint:
     def test_mapping_key_order_irrelevant(self):

@@ -219,6 +219,25 @@ class TestLedgerRecording:
         assert "2 Clusters" in out
         assert err.count("error:") == 1 and "cannot open" in err
 
+    @pytest.mark.parametrize("flag", ["--metrics", "--trace"])
+    def test_unwritable_telemetry_file_is_one_error_line(
+        self, flag, tmp_path, capsys
+    ):
+        # The table prints and the run is still recorded; the lost
+        # file is one ``error:`` line and exit 1, not a traceback.
+        from repro.obs import RunLedger
+
+        ledger_path = tmp_path / "runs.jsonl"
+        argv = ["table4", flag, str(tmp_path), "--ledger", str(ledger_path)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert "2 Clusters" in out
+        assert err.count("error:") == 1 and "cannot write" in err
+        assert "Traceback" not in err
+        (record,) = RunLedger(ledger_path).records()
+        assert record["command"] == "table4"
+        assert record["exit_code"] == 1
+
     def test_unwritable_ledger_on_a_failed_run(self, tmp_path, capsys):
         argv = ["sweep", "--linkages", ",", "--ledger", str(tmp_path)]
         assert main(argv) == 1

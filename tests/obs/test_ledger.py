@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -126,6 +127,24 @@ class TestAmbientRecorder:
         names = [s["stage"] for s in recorder.stages]
         assert names == ["a", "b", "a", "b"]
         assert all(s["cache_source"] == "compute" for s in recorder.stages)
+
+    def test_engine_run_on_another_thread_does_not_feed_it(self):
+        """The recorder slot is per context: a run on another thread
+        (a service request's compute, say) never lands in this one."""
+        recorder = RunRecorder("this-thread")
+        stages = [
+            FunctionStage("a", lambda source: source + 1, inputs=("source",), outputs=("x",)),
+        ]
+        with use_recorder(recorder):
+            worker = threading.Thread(
+                target=PipelineEngine().run, args=(stages, {"source": 3})
+            )
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            assert recorder.stages == ()
+            PipelineEngine().run(stages, {"source": 3})
+        assert [s["stage"] for s in recorder.stages] == ["a"]
 
     def test_engine_reports_cache_hits_to_recorder(self):
         recorder = RunRecorder("cached")

@@ -75,7 +75,7 @@ class TestTornTail:
         full = path.read_bytes()
         extra = json.dumps(synthetic_run("torn")).encode()
         path.write_bytes(full + extra[: len(extra) // 2])
-        records = RunLedger(path).records(last=2)
+        records = RunLedger(path).records()[-2:]
         assert [r["run_id"] for r in records] == ["r1", "r2"]
 
     def test_corrupt_middle_line_does_not_shift_the_window(self, tmp_path):
@@ -84,7 +84,7 @@ class TestTornTail:
         lines = path.read_text().splitlines()
         lines[1] = lines[1][:10]  # truncate r1 into garbage
         path.write_text("\n".join(lines) + "\n")
-        records = RunLedger(path).records(last=3)
+        records = RunLedger(path).records()[-3:]
         assert [r["run_id"] for r in records] == ["r0", "r2", "r3"]
 
     def test_size_bytes_zero_for_missing_file(self, tmp_path):

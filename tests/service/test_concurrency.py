@@ -206,3 +206,62 @@ class TestHttpConcurrency:
         ]
         stage_names = sorted(s["stage"] for s in computed)
         assert stage_names == sorted(service_server.runtime.compute_counts)
+
+    def test_concurrent_distinct_requests_record_their_own_stages(
+        self, service_server
+    ):
+        """Two concurrent /analyze with different keys: each ledger
+        record holds exactly the six stages of its own engine run."""
+        requests = [{"machine": "A", "seed": 21}, {"machine": "B", "seed": 22}]
+        start = threading.Barrier(len(requests))
+
+        def fire(body):
+            client = service_server.client(timeout=120)
+            start.wait(timeout=30)
+            return client.analyze(body)
+
+        with ThreadPoolExecutor(len(requests)) as pool:
+            outcomes = list(pool.map(fire, requests))
+
+        records = {
+            r["args"]["machine"]: r
+            for r in service_server.runtime.ledger.records()
+            if r["command"] == "service:analyze"
+        }
+        assert sorted(records) == ["A", "B"]
+        for body, (status, payload) in zip(requests, outcomes):
+            assert status == 200
+            record = records[body["machine"]]
+            assert record["coalesced"] is False
+            own = [
+                (s["stage"], s["wall_seconds"], s["cache_source"])
+                for s in payload["report"]["stages"]
+            ]
+            assert [
+                (s["stage"], s["wall_seconds"], s["cache_source"])
+                for s in record["stages"]
+            ] == own
+            assert [stage for stage, _, _ in own] == [
+                "characterize",
+                "preprocess",
+                "reduce",
+                "cluster",
+                "score_cuts",
+                "recommend",
+            ]
+
+    def test_metricsz_reports_the_engine_instruments(self, service_server):
+        """The engine reports through the ambient registry, which the
+        running service points at its runtime's, so ``/metricsz``
+        shows a request's stage timings and cache counters."""
+        client = service_server.client(timeout=120)
+        assert client.analyze({"machine": "A"})[0] == 200
+        assert client.analyze({"machine": "A"})[0] == 200  # warm replay
+        status, text = client.metrics_text()
+        assert status == 200
+        for name in (
+            "repro_engine_cache_hits_total",
+            "repro_engine_cache_misses_total",
+            'repro_engine_stage_seconds_count{stage="reduce"}',
+        ):
+            assert name in text, name

@@ -191,7 +191,7 @@ class TestFallbacks:
 
     def test_identical_weights_defeat_the_bound_exactly(self):
         """Every unit ties: the shortlist covers everything, so the
-        max_share guard hands the whole call to the exact search."""
+        _MAX_SHARE guard hands the whole call to the exact search."""
         rng = np.random.default_rng(13)
         matrix = rng.normal(size=(40, 6))
         weights = np.tile(rng.normal(size=(1, 6)), (16, 1))

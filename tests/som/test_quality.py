@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SOMError
-from repro.som.quality import quantization_error, topographic_error
+from repro.som.bmu import bmu_scores
+from repro.som.quality import map_quality, quantization_error, topographic_error
 from repro.som.som import SelfOrganizingMap, SOMConfig
 from repro.som.umatrix import u_matrix
 
@@ -86,6 +87,30 @@ class TestTopographicError:
             topographic_error(som, data)
         with pytest.raises(SOMError, match="single unit"):
             som.second_best_matching_unit(data[0])
+
+
+class TestSingleSampleQueries:
+    def test_near_ties_far_from_the_origin_follow_project(self):
+        """A single-sample query ranks units with the rule ``project()``
+        and the quality gauges use, so it agrees with them on near ties
+        that the direct ``||w - x||^2`` formula orders differently."""
+        som = SelfOrganizingMap(SOMConfig(rows=4, columns=4, seed=1)).fit(
+            np.random.default_rng(0).random((6, 3))
+        )
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            weights = 1000.0 + rng.random((16, 3))
+            weights[5] = weights[9] + rng.normal(scale=1e-9, size=3)
+            sample = weights[9] + rng.normal(scale=1e-3, size=3)
+            som._weights = weights
+            best = int(map_quality(som, sample[None, :]).bmus[0])
+            assert som.best_matching_unit(sample) == best
+            assert tuple(som.project([sample])[0]) == divmod(best, 4)
+            scores = bmu_scores(sample[None, :], weights)[0]
+            scores[best] = np.inf
+            assert som.second_best_matching_unit(sample) == int(
+                np.argmin(scores)
+            )
 
 
 class TestInputChecks:
