@@ -47,7 +47,6 @@ environment variable enables the same thing).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from typing import Sequence
 
@@ -61,6 +60,8 @@ from repro.data.tables456 import hgm_table
 from repro.exceptions import ReproError
 from repro.obs import (
     DEFAULT_LEDGER_PATH,
+    NULL_RECORDER,
+    NULL_TRACER,
     MetricsRegistry,
     RunLedger,
     RunRecorder,
@@ -1015,7 +1016,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # trace_id the ledger record stores (`obs show <trace-prefix>` resolves
     # it).  Metrics always collect into a per-invocation registry so
     # --metrics dumps one run.
-    tracer = Tracer() if trace_path else None
+    tracer = Tracer() if trace_path else NULL_TRACER
     context = new_context() if trace_path else None
     registry = MetricsRegistry()
     # The run ledger (flag or REPRO_LEDGER) persists this invocation's
@@ -1030,83 +1031,70 @@ def main(argv: Sequence[str] | None = None) -> int:
     recorder = (
         RunRecorder(args.command, _recordable_args(args))
         if ledger_path
-        else None
+        else NULL_RECORDER
     )
 
-    def record(exit_code: int) -> str | None:
-        """Append this invocation to the ledger; the error if that fails."""
-        if recorder is None:
-            return None
+    output, code, errors = None, 0, []
+    with (
+        use_context(context),
+        use_tracer(tracer),
+        use_metrics(registry),
+        use_recorder(recorder),
+    ):
         try:
-            run_id = RunLedger(ledger_path).append(
-                recorder.finish(
-                    metrics=registry,
-                    tracer=tracer,
-                    exit_code=exit_code,
-                    trace_id=context.trace_id if context is not None else None,
-                )
-            )
+            with tracer.span(f"cli.{args.command}", command=args.command):
+                output = handlers[args.command](args)
         except ReproError as error:
-            return str(error)
-        log.info(fmt_kv("ledger.recorded", run_id=run_id, path=ledger_path))
-        return None
-
-    try:
-        with contextlib.ExitStack() as stack:
-            stack.enter_context(use_metrics(registry))
-            if recorder is not None:
-                stack.enter_context(use_recorder(recorder))
-            if tracer is not None:
-                if context is not None:
-                    stack.enter_context(use_context(context))
-                stack.enter_context(use_tracer(tracer))
-                stack.enter_context(
-                    tracer.span(f"cli.{args.command}", command=args.command)
-                )
-            output = handlers[args.command](args)
-    except ReproError as error:
-        ledger_error = record(exit_code=1)
-        suffix = f"; {ledger_error}" if ledger_error else ""
-        print(f"error: {error}{suffix}", file=sys.stderr)
-        return 1
-    code = 0
-    if isinstance(output, tuple):
-        output, code = output
-
-    # An unwritable --trace/--metrics path loses only that file: the
-    # result still prints and the ledger still gets the run's record.
-    errors = []
-    if tracer is not None and trace_path:
-        try:
-            tracer.write(trace_path)
-        except OSError as error:
-            errors.append(f"cannot write trace to {trace_path}: {error}")
+            errors.append(str(error))
         else:
-            log.info(
-                fmt_kv(
-                    "trace.written",
-                    path=trace_path,
-                    spans=sum(1 for _ in tracer.spans()),
-                )
-            )
-    if metrics_path:
-        try:
-            registry.write(metrics_path)
-        except OSError as error:
-            errors.append(f"cannot write metrics to {metrics_path}: {error}")
-        else:
-            log.info(fmt_kv("metrics.written", path=metrics_path))
-    ledger_error = record(exit_code=1 if errors else code)
-    if ledger_error:
-        errors.append(ledger_error)
+            if isinstance(output, tuple):
+                output, code = output
 
-    try:
-        print(output)
-    except BrokenPipeError:
-        # Downstream pager/`head` closed the pipe; not an error.
-        sys.stderr.close()
+        # One epilogue for success and failure alike: the trace of a
+        # failed run is the one most worth keeping, and an unwritable
+        # --trace/--metrics path loses only that file — the ledger
+        # still gets the run's record.
+        if trace_path:
+            try:
+                tracer.write(trace_path)
+            except OSError as error:
+                errors.append(f"cannot write trace to {trace_path}: {error}")
+            else:
+                log.info(
+                    fmt_kv(
+                        "trace.written",
+                        path=trace_path,
+                        spans=sum(1 for _ in tracer.spans()),
+                    )
+                )
+        if metrics_path:
+            try:
+                registry.write(metrics_path)
+            except OSError as error:
+                errors.append(f"cannot write metrics to {metrics_path}: {error}")
+            else:
+                log.info(fmt_kv("metrics.written", path=metrics_path))
+        if ledger_path:
+            try:
+                run_id = RunLedger(ledger_path).append(
+                    recorder.finish(
+                        metrics=registry,
+                        tracer=tracer,
+                        exit_code=1 if errors else code,
+                    )
+                )
+            except ReproError as error:
+                errors.append(str(error))
+            else:
+                log.info(fmt_kv("ledger.recorded", run_id=run_id, path=ledger_path))
+
+    if output is not None:
+        try:
+            print(output)
+        except BrokenPipeError:
+            # Downstream pager/`head` closed the pipe; not an error.
+            sys.stderr.close()
     if errors:
-        # The result above stands; only its telemetry was lost.
         print(f"error: {'; '.join(errors)}", file=sys.stderr)
         return 1
     return code

@@ -20,10 +20,16 @@ thread through every run:
   serialized across HTTP (``traceparent``), so every span, ledger record and service response of one request
   shares one identity.
 
-All three are *ambient*: library code reads :func:`current_tracer` /
-:func:`current_metrics` and the defaults (a no-op tracer, a process
-default registry) make instrumentation free to leave in place.  Scope
-real collectors with :func:`use_tracer` / :func:`use_metrics`::
+Four slots are *ambient*, each a :class:`contextvars.ContextVar`
+read by :func:`current_tracer`, :func:`current_metrics`,
+:func:`current_recorder` and :func:`current_context`.  Their defaults
+(a no-op tracer, a process default registry, a no-op recorder, no
+context) make instrumentation free to leave in place.  The only way
+to install a slot is its ``with`` block — :func:`use_tracer`,
+:func:`use_metrics`, :func:`use_recorder`, :func:`use_context` —
+which puts the previous value back on exit.  A thread you start sees
+the defaults until it installs its own slots, as the scoring
+service's compute threads do::
 
     from repro.obs import Tracer, MetricsRegistry, use_tracer, use_metrics
 
@@ -41,7 +47,6 @@ from repro.obs.context import (
     new_context,
     new_span_id,
     new_trace_id,
-    set_context,
     use_context,
 )
 from repro.obs.ledger import (
@@ -55,7 +60,6 @@ from repro.obs.ledger import (
     RunRecorder,
     current_recorder,
     ledger_path_from_env,
-    set_recorder,
     use_recorder,
 )
 from repro.obs.log import (
@@ -71,7 +75,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     current_metrics,
-    set_metrics,
     use_metrics,
 )
 from repro.obs.trace import (
@@ -80,7 +83,6 @@ from repro.obs.trace import (
     Span,
     Tracer,
     current_tracer,
-    set_tracer,
     use_tracer,
 )
 
@@ -91,7 +93,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "current_tracer",
-    "set_tracer",
     "use_tracer",
     # trace context
     "TRACEPARENT_VERSION",
@@ -100,7 +101,6 @@ __all__ = [
     "new_context",
     "new_span_id",
     "new_trace_id",
-    "set_context",
     "use_context",
     # run ledger
     "DEFAULT_LEDGER_PATH",
@@ -112,7 +112,6 @@ __all__ = [
     "NullRecorder",
     "NULL_RECORDER",
     "current_recorder",
-    "set_recorder",
     "use_recorder",
     "ledger_path_from_env",
     # metrics
@@ -121,7 +120,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "current_metrics",
-    "set_metrics",
     "use_metrics",
     # logging
     "KeyValueFormatter",

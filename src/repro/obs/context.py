@@ -46,7 +46,6 @@ __all__ = [
     "new_span_id",
     "new_context",
     "current_context",
-    "set_context",
     "use_context",
 ]
 
@@ -149,13 +148,6 @@ _context_var: contextvars.ContextVar[TraceContext | None] = (
 def current_context() -> TraceContext | None:
     """The ambient trace context, or ``None`` outside any request."""
     return _context_var.get()
-
-
-def set_context(context: TraceContext | None) -> TraceContext | None:
-    """Install ``context`` ambiently; returns the previous one."""
-    previous = _context_var.get()
-    _context_var.set(context)
-    return previous
 
 
 @contextlib.contextmanager

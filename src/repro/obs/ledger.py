@@ -61,7 +61,6 @@ __all__ = [
     "NULL_RECORDER",
     "current_recorder",
     "run_source",
-    "set_recorder",
     "use_recorder",
     "ledger_path_from_env",
 ]
@@ -153,15 +152,13 @@ class RunRecorder:
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | NullTracer | None = None,
         exit_code: int = 0,
-        trace_id: str | None = None,
     ) -> dict[str, Any]:
         """The finished, JSON-safe ledger record for this invocation.
 
-        ``trace_id`` pins the record to a request identity explicitly;
-        when omitted, the ambient :class:`~repro.obs.context.TraceContext`
-        (if any) supplies it — which is what lets
+        The ambient :class:`~repro.obs.context.TraceContext`, when
+        sampled, supplies the record's ``trace_id`` — which is what lets
         ``obs show <trace-prefix>`` resolve the run a service response
-        header pointed at.
+        header (or a traced CLI run) pointed at.
         """
         metrics_dict = metrics.as_dict() if metrics is not None else {}
         stages = list(self._stages)
@@ -174,10 +171,10 @@ class RunRecorder:
             trace = [
                 root.to_payload() for root in tracer.roots if root.finished
             ]
-        if trace_id is None:
-            context = current_context()
-            if context is not None and context.sampled:
-                trace_id = context.trace_id
+        context = current_context()
+        trace_id = (
+            context.trace_id if context is not None and context.sampled else None
+        )
         # Local import: repro.engine packages import this module at
         # load time, so a top-level import would be circular.
         from repro.engine.hostinfo import available_cpus
@@ -223,25 +220,16 @@ def current_recorder() -> RunRecorder | NullRecorder:
     return _current_recorder_var.get()
 
 
-def set_recorder(
-    recorder: RunRecorder | NullRecorder,
-) -> RunRecorder | NullRecorder:
-    """Install ``recorder`` as ambient; returns the previous one."""
-    previous = _current_recorder_var.get()
-    _current_recorder_var.set(recorder)
-    return previous
-
-
 @contextlib.contextmanager
 def use_recorder(
     recorder: RunRecorder | NullRecorder,
 ) -> Iterator[RunRecorder | NullRecorder]:
     """Install ``recorder`` for the duration of a ``with`` block."""
-    previous = set_recorder(recorder)
+    token = _current_recorder_var.set(recorder)
     try:
         yield recorder
     finally:
-        set_recorder(previous)
+        _current_recorder_var.reset(token)
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,21 @@ emits the text exposition format (histograms as quantile summaries),
 and :meth:`MetricsRegistry.as_dict` the JSON shape the run ledger
 stores with each record.
 
-Like tracing, metrics are ambient: :func:`current_metrics` returns the
-installed registry (a process-wide default exists so instrumentation
-never needs a None check) and :func:`use_metrics` scopes a fresh one
-to a ``with`` block — the CLI does this per invocation so ``--metrics``
-dumps exactly one run.
+Like tracing, metrics are ambient: the registry slot is a
+:class:`contextvars.ContextVar`, :func:`current_metrics` returns the
+registry installed in the current thread or asyncio task (a
+process-wide default exists, so instrumentation never needs a None
+check), and :func:`use_metrics` scopes one to a ``with`` block.  The
+CLI does this per invocation so ``--metrics`` dumps exactly one run;
+the scoring service does it on each compute thread, so its
+``/metricsz`` sees the engine's and the SOM's instruments.  A thread
+you start sees the default until it installs its own.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 import random
 import threading
@@ -37,7 +42,6 @@ __all__ = [
     "MetricsRegistry",
     "RESERVOIR_SIZE",
     "current_metrics",
-    "set_metrics",
     "use_metrics",
 ]
 
@@ -338,27 +342,24 @@ class MetricsRegistry:
         return f"MetricsRegistry(instruments={len(self._instruments)})"
 
 
-_current_metrics = MetricsRegistry()
+# A ContextVar, like the tracer's: a registry installed on one thread
+# never collects another thread's instruments.  The default is one
+# process-wide registry, so instrumentation never needs a None check.
+_current_metrics_var: contextvars.ContextVar[MetricsRegistry] = (
+    contextvars.ContextVar("repro_metrics", default=MetricsRegistry())
+)
 
 
 def current_metrics() -> MetricsRegistry:
-    """The ambient registry (a process-wide default always exists)."""
-    return _current_metrics
-
-
-def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` as ambient; returns the previous one."""
-    global _current_metrics
-    previous = _current_metrics
-    _current_metrics = registry
-    return previous
+    """The ambient registry (the process default unless one is installed)."""
+    return _current_metrics_var.get()
 
 
 @contextlib.contextmanager
 def use_metrics(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
     """Install ``registry`` for the duration of a ``with`` block."""
-    previous = set_metrics(registry)
+    token = _current_metrics_var.set(registry)
     try:
         yield registry
     finally:
-        set_metrics(previous)
+        _current_metrics_var.reset(token)

@@ -54,7 +54,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "current_tracer",
-    "set_tracer",
     "use_tracer",
 ]
 
@@ -445,18 +444,11 @@ def current_tracer() -> Tracer | NullTracer:
     return _current_tracer_var.get()
 
 
-def set_tracer(tracer: Tracer | NullTracer) -> Tracer | NullTracer:
-    """Install ``tracer`` as the ambient tracer; returns the previous one."""
-    previous = _current_tracer_var.get()
-    _current_tracer_var.set(tracer)
-    return previous
-
-
 @contextlib.contextmanager
 def use_tracer(tracer: Tracer | NullTracer) -> Iterator[Tracer | NullTracer]:
     """Install ``tracer`` for the duration of a ``with`` block."""
-    previous = set_tracer(tracer)
+    token = _current_tracer_var.set(tracer)
     try:
         yield tracer
     finally:
-        set_tracer(previous)
+        _current_tracer_var.reset(token)

@@ -26,7 +26,6 @@ work.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
 import signal
 import threading
@@ -36,10 +35,10 @@ from typing import Callable
 
 from repro.exceptions import ReproError
 from repro.obs.context import TraceContext, current_context, new_context, use_context
-from repro.obs.ledger import RunRecorder, new_run_id, use_recorder
+from repro.obs.ledger import NullRecorder, RunRecorder, new_run_id, use_recorder
 from repro.obs.log import fmt_kv, get_logger
-from repro.obs.metrics import set_metrics
-from repro.obs.trace import Tracer, use_tracer
+from repro.obs.metrics import use_metrics
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, use_tracer
 from repro.service.events import EventTapTracer, RunEventStream
 from repro.service.http import (
     DEFAULT_MAX_BODY_BYTES,
@@ -156,7 +155,6 @@ class ScoringService:
         self._busy_requests = 0
         self._queued_requests = 0
         self._stopped: asyncio.Event | None = None
-        self._prev_metrics = None
         # Per-request analyze tracers graft into this daemon-lifetime
         # sink (worker threads serialize on the lock); drain writes it
         # to trace_path — the fix for `serve --trace` being ignored.
@@ -166,7 +164,13 @@ class ScoringService:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listener and warm the ambient metrics registry."""
+        """Bind the listener and open the compute thread pool.
+
+        Nothing ambient is installed here: each compute thread installs
+        the runtime's registry (with the request's context, recorder
+        and tracer) around its own analysis, so two daemons in one
+        process never share or restore each other's registry.
+        """
         self._stopped = asyncio.Event()
         self._semaphore = asyncio.Semaphore(self.max_concurrency)
         self._executor = ThreadPoolExecutor(
@@ -176,9 +180,6 @@ class ScoringService:
             self._serve_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        # SOM internals report through the ambient registry; point it
-        # at the runtime's so /metricsz sees the whole picture.
-        self._prev_metrics = set_metrics(self.runtime.registry)
         _log.info(
             fmt_kv(
                 "service.start",
@@ -295,9 +296,6 @@ class ScoringService:
                         error=str(exc),
                     )
                 )
-        if self._prev_metrics is not None:
-            set_metrics(self._prev_metrics)
-            self._prev_metrics = None
         _log.info(fmt_kv("service.drain_done"))
         if self._stopped is not None:
             self._stopped.set()
@@ -781,32 +779,32 @@ class ScoringService:
         *,
         context: TraceContext | None,
         stream: RunEventStream | None,
-        recorder: RunRecorder | None,
+        recorder: RunRecorder | NullRecorder,
     ) -> _Response:
         """Run one analyze on a worker thread with observability installed.
 
         The originating request's trace context, its ledger recorder
-        (when the daemon has a ledger) and (when the job streams or
-        the daemon traces) a per-request tracer are installed ambiently
+        (:data:`~repro.obs.ledger.NULL_RECORDER` without a ledger), the
+        runtime's metrics registry and (when the job streams or the
+        daemon traces) a per-request tracer are installed ambiently
         *inside this thread* — the engine and the SOM pick them up via
         their ContextVars, so the engine feeds this request's recorder
-        exactly this run's stages.  The tracer is an
-        :class:`EventTapTracer` when a stream wants live stage and SOM
-        progress.
+        exactly this run's stages and ``/metricsz`` its instruments.
+        The tracer is an :class:`EventTapTracer` when a stream wants
+        live stage and SOM progress.
         """
-        tracer: Tracer | None = None
+        tracer: Tracer | NullTracer = NULL_TRACER
         if stream is not None:
             tracer = EventTapTracer(stream)
         elif self._trace_sink is not None:
             tracer = Tracer()
         try:
-            with contextlib.ExitStack() as scopes:
-                if context is not None:
-                    scopes.enter_context(use_context(context))
-                if recorder is not None:
-                    scopes.enter_context(use_recorder(recorder))
-                if tracer is not None:
-                    scopes.enter_context(use_tracer(tracer))
+            with (
+                use_context(context),
+                use_recorder(recorder),
+                use_metrics(self.runtime.registry),
+                use_tracer(tracer),
+            ):
                 payload = self.runtime.analyze(analyze_request)
         except ReproError as exc:
             status, body = error_response(400, str(exc))
@@ -821,9 +819,9 @@ class ScoringService:
         self._absorb_trace(tracer)
         return response
 
-    def _absorb_trace(self, tracer: Tracer | None) -> None:
+    def _absorb_trace(self, tracer: Tracer | NullTracer) -> None:
         """Graft one request's finished spans into the daemon trace sink."""
-        if tracer is None or self._trace_sink is None:
+        if self._trace_sink is None:
             return
         with self._trace_lock:
             for root in tracer.roots:

@@ -8,9 +8,10 @@ requests and survives independently of any particular transport:
   the reason a warm ``/score`` answers in microseconds while a cold
   CLI run pays the full SOM training;
 * a :class:`~repro.obs.metrics.MetricsRegistry` that accumulates for
-  the daemon's whole lifetime and backs ``GET /metricsz`` (the
-  service points the ambient registry at it, so the engine's stage
-  timings and cache counters land there);
+  the daemon's whole lifetime and backs ``GET /metricsz`` (each
+  compute thread installs it as the ambient registry around its
+  analysis, so the engine's stage timings and cache counters land
+  there);
 * per-stage **compute counters** (each analysis's
   :class:`~repro.engine.executor.RunReport` stages with
   ``cache_source == "compute"``) — the observable the single-compute
@@ -27,10 +28,11 @@ transport, coalescing and concurrency control on top.
 
 Ledger records: each request gets its own
 :class:`~repro.obs.ledger.RunRecorder` from :meth:`ServiceRuntime.recorder`
-(``None`` without a ledger).  The recorder slot is a ContextVar, so the
-compute thread that runs an analysis installs the request's recorder
-and the engine feeds it that run's stages, as it feeds the CLI's; no
-other thread's run can reach it.
+(:data:`~repro.obs.ledger.NULL_RECORDER` without a ledger).  The
+recorder slot is a ContextVar, so the compute thread that runs an
+analysis installs the request's recorder and the engine feeds it that
+run's stages, as it feeds the CLI's; no other thread's run can reach
+it.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from repro.core.scoring import SuiteScorer, rank_machines
 from repro.engine.executor import PipelineEngine
 from repro.engine.fingerprint import combine, fingerprint
 from repro.exceptions import ReproError
-from repro.obs.ledger import RunLedger, RunRecorder
+from repro.obs.ledger import NULL_RECORDER, NullRecorder, RunLedger, RunRecorder
 from repro.obs.log import fmt_kv, get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.service.events import RunEventStream
@@ -161,21 +163,21 @@ class ServiceRuntime:
 
     def recorder(
         self, endpoint: str, args: Mapping[str, Any]
-    ) -> RunRecorder | None:
+    ) -> RunRecorder | NullRecorder:
         """A fresh recorder for one request's ledger record.
 
-        ``None`` when the daemon has no ledger, so unrecorded requests
-        install nothing and the engine keeps the free
-        :data:`~repro.obs.ledger.NULL_RECORDER` path.  The record's
-        wall time runs from this call to :meth:`record_request`.
+        :data:`~repro.obs.ledger.NULL_RECORDER` when the daemon has no
+        ledger, so unrecorded requests keep the engine's free no-op
+        path.  The record's wall time runs from this call to
+        :meth:`record_request`.
         """
         if self.ledger is None:
-            return None
+            return NULL_RECORDER
         return RunRecorder(f"service:{endpoint}", dict(args))
 
     def record_request(
         self,
-        recorder: RunRecorder | None,
+        recorder: RunRecorder | NullRecorder,
         *,
         exit_code: int = 0,
         run_id: str | None = None,
@@ -195,7 +197,7 @@ class ServiceRuntime:
         request identity so the record resolves by trace-id prefix
         (``obs show <prefix>``).
         """
-        if recorder is None or self.ledger is None:
+        if self.ledger is None:
             return None
         record = recorder.finish(exit_code=exit_code)
         record["coalesced"] = coalesced

@@ -246,6 +246,62 @@ class TestLedgerRecording:
         assert "no linkage rules" in err and "cannot open" in err
 
 
+class TestFailedRunTelemetry:
+    """A handler that raises still writes --trace, --metrics and its record."""
+
+    def test_failed_run_writes_trace_metrics_and_record(self, tmp_path, capsys):
+        from repro.obs import RunLedger
+
+        trace_path = tmp_path / "t.json"
+        metrics_path = tmp_path / "m.txt"
+        ledger_path = tmp_path / "runs.jsonl"
+        argv = [
+            "sweep", "--linkages", ",",
+            "--trace", str(trace_path),
+            "--metrics", str(metrics_path),
+            "--ledger", str(ledger_path),
+        ]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error:") == 1 and "no linkage rules" in err
+        assert "Traceback" not in err
+
+        (root,) = json.loads(trace_path.read_text())["traceEvents"]
+        assert root["name"] == "cli.sweep"
+        assert root["args"]["error"] == "ReproError"
+        assert metrics_path.exists()
+
+        (record,) = RunLedger(ledger_path).records()
+        assert record["exit_code"] == 1
+        assert record["trace"][0]["name"] == "cli.sweep"
+        assert record["trace"][0]["attributes"]["error"] == "ReproError"
+        # Finished inside the run's trace context: the record resolves
+        # by the trace id every span of the run carries.
+        assert record["trace_id"] == record["trace"][0]["trace_id"]
+        assert current_tracer() is NULL_TRACER
+
+    @pytest.mark.parametrize(
+        "flag, lost", [("--trace", "trace"), ("--metrics", "metrics")]
+    )
+    def test_failed_run_and_unwritable_file_is_one_error_line(
+        self, flag, lost, tmp_path, capsys
+    ):
+        kept = "--metrics" if flag == "--trace" else "--trace"
+        kept_path = tmp_path / "kept.out"
+        argv = [
+            "sweep", "--linkages", ",",
+            flag, str(tmp_path),
+            kept, str(kept_path),
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "no linkage rules" in err and f"cannot write {lost}" in err
+        assert "Traceback" not in err
+        assert kept_path.exists()
+
+
 class TestObsCommands:
     @pytest.fixture
     def seeded_ledger(self, tmp_path):

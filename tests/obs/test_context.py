@@ -12,7 +12,6 @@ from repro.obs import (
     new_context,
     new_span_id,
     new_trace_id,
-    set_context,
     use_context,
     use_tracer,
 )
@@ -95,15 +94,6 @@ class TestAmbientContext:
         context = new_context()
         with use_context(context):
             assert current_context() is context
-        assert current_context() is None
-
-    def test_set_context_returns_previous(self):
-        context = new_context()
-        previous = set_context(context)
-        try:
-            assert current_context() is context
-        finally:
-            set_context(previous)
         assert current_context() is None
 
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import pytest
 
+from repro.analysis.pipeline import WorkloadAnalysisPipeline
 from repro.exceptions import ReproError
 from repro.obs.metrics import (
     Counter,
@@ -14,9 +16,10 @@ from repro.obs.metrics import (
     RESERVOIR_SIZE,
     MetricsRegistry,
     current_metrics,
-    set_metrics,
     use_metrics,
 )
+from repro.som.som import SOMConfig
+from repro.workloads.suite import BenchmarkSuite
 
 
 class TestInstruments:
@@ -155,13 +158,52 @@ class TestAmbientRegistry:
         assert "scoped" not in outer.as_dict()
         assert fresh.as_dict()["scoped"] == 1
 
-    def test_set_metrics_returns_previous(self):
-        fresh = MetricsRegistry()
-        previous = set_metrics(fresh)
-        try:
-            assert current_metrics() is fresh
-        finally:
-            set_metrics(previous)
+    def test_concurrent_threads_each_fill_their_own_registry(self):
+        """Two batch pipelines run at once, each under its own registry:
+        every stage and cluster instrument lands in the registry of the
+        thread that ran it, and none in the process default."""
+        suite = BenchmarkSuite.paper_suite()
+        som_config = SOMConfig(rows=5, columns=5, steps_per_sample=100, seed=3)
+        registries = [MetricsRegistry(), MetricsRegistry()]
+        both_installed = threading.Barrier(len(registries), timeout=30)
+        errors: list[Exception] = []
+        default_before = current_metrics().as_dict()
+
+        def run(registry: MetricsRegistry) -> None:
+            try:
+                with use_metrics(registry):
+                    both_installed.wait()
+                    WorkloadAnalysisPipeline(
+                        characterization="methods",
+                        machine=None,
+                        som_config=som_config,
+                        som_mode="batch",
+                    ).run(suite)
+            except Exception as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=(registry,))
+            for registry in registries
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert current_metrics().as_dict() == default_before
+        for registry in registries:
+            snapshot = registry.as_dict()
+            stage_timings = [
+                key
+                for key in snapshot
+                if key.startswith("repro_engine_stage_seconds{")
+            ]
+            assert len(stage_timings) == 6
+            assert all(snapshot[key]["count"] == 1 for key in stage_timings)
+            assert snapshot['repro_cluster_merges_total{linkage="complete"}'] > 0
+            assert "repro_cluster_top_merge_distance" in snapshot
 
 
 class TestDeterministicDumps:

@@ -13,7 +13,6 @@ from repro.obs.trace import (
     NullTracer,
     Tracer,
     current_tracer,
-    set_tracer,
     use_tracer,
 )
 
@@ -174,15 +173,6 @@ class TestAmbientTracer:
             with use_tracer(Tracer()):
                 raise RuntimeError("boom")
         assert current_tracer() is NULL_TRACER
-
-    def test_set_tracer_returns_previous(self):
-        tracer = Tracer()
-        previous = set_tracer(tracer)
-        try:
-            assert previous is NULL_TRACER
-            assert current_tracer() is tracer
-        finally:
-            set_tracer(previous)
 
 
 class TestDisabledFastPath:

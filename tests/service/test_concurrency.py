@@ -251,9 +251,9 @@ class TestHttpConcurrency:
             ]
 
     def test_metricsz_reports_the_engine_instruments(self, service_server):
-        """The engine reports through the ambient registry, which the
-        running service points at its runtime's, so ``/metricsz``
-        shows a request's stage timings and cache counters."""
+        """The engine reports through the ambient registry, which each
+        compute thread sets to its runtime's, so ``/metricsz`` shows a
+        request's stage timings and cache counters."""
         client = service_server.client(timeout=120)
         assert client.analyze({"machine": "A"})[0] == 200
         assert client.analyze({"machine": "A"})[0] == 200  # warm replay
@@ -265,3 +265,26 @@ class TestHttpConcurrency:
             'repro_engine_stage_seconds_count{stage="reduce"}',
         ):
             assert name in text, name
+
+
+class TestTwoDaemons:
+    def test_stopping_one_daemon_leaves_the_other_its_registry(self):
+        """Each compute thread installs its own daemon's registry, so
+        draining daemon A does not take the engine's instruments away
+        from daemon B's ``/metricsz``."""
+        first = ServiceThread(runtime=ServiceRuntime()).start()
+        with ServiceThread(runtime=ServiceRuntime()) as second:
+            first.stop()
+            client = second.client(timeout=120)
+            assert client.analyze({"machine": "A"})[0] == 200
+            status, text = client.metrics_text()
+        assert status == 200
+        for name in (
+            "repro_engine_cache_misses_total",
+            'repro_engine_stage_seconds_count{stage="reduce"}',
+            "repro_som_quantization_error",
+        ):
+            assert name in text, name
+        assert "repro_engine_stage_seconds" not in (
+            first.runtime.registry.render_prometheus()
+        )
