@@ -558,6 +558,9 @@ def _cmd_serve(args: argparse.Namespace) -> str:
     (``service:<endpoint>`` records), so ``main()`` deliberately skips
     the per-invocation recorder for this command; ``--ledger`` (or
     ``REPRO_LEDGER``) names the file those request records go to.
+    With ``--trace``, each request's span tree is grafted under this
+    invocation's ``cli.serve`` span, so ``main()`` writes one file
+    holding both on exit.
     """
     import asyncio
 
@@ -576,9 +579,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         port=args.port,
         max_concurrency=args.max_concurrency,
         drain_grace=args.drain_grace,
-        # The shared --trace flag: per-request analyze span trees
-        # accumulate in the daemon and are written here on drain.
-        trace_path=getattr(args, "trace", None),
         slow_request_ms=args.slow_request_ms,
         heartbeat_seconds=args.heartbeat_seconds,
     )

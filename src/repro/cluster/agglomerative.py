@@ -23,10 +23,21 @@ flat ``argmin`` over the whole matrix would return, so ties go to the
 lowest row, then the lowest column.  It then updates the merged row in
 O(n), folds the new column into every other row's cache in O(n), and
 rescans, in O(n) each, only the rows whose cached column was one of
-the two merged clusters.  Memory is O(n^2).  Time is O(n^2) plus
-O(n) per rescanned row: O(n^3) if every merge left every row stale,
-but under four rescans per merge, the merged row included, on SOM map
-positions (1000 workloads on a 13x13 map).
+the two merged clusters.
+
+Co-located points are collapsed before that loop.  When many
+workloads share a SOM cell, the first merges only stack points at
+distance 0, in the order the flat ``argmin`` takes them: groups of
+identical rows by their lowest index, members in ascending order.
+Those merges are emitted in bulk and folded into the leaders' rows
+(one O(g) Lance-Williams update per member, g the number of distinct
+positions); the cached loop then runs on the g x g matrix of distinct
+positions.  Memory is O(n^2) for the input and O(g^2) for the loop.
+Time is O(n^2) for the input checks and the collapse, plus O(g^2) and
+O(g) per rescanned row in the loop: O(g^3) if every merge left every
+row stale, but under four rescans per merge, the merged row included,
+on SOM map positions.  1000 workloads on a 13x13 map sit on ~170
+cells, so 830 of the 999 merges never reach the loop.
 """
 
 from __future__ import annotations
@@ -37,11 +48,16 @@ from typing import Sequence
 import numpy as np
 
 from repro.cluster.dendrogram import Dendrogram, Merge
-from repro.cluster.linkage import Linkage, resolve_linkage
+from repro.cluster.linkage import LINKAGES, Linkage, resolve_linkage
 from repro.exceptions import ClusteringError
 from repro.stats.distance import DistanceMetric, pairwise_distances
 
 __all__ = ["AgglomerativeClustering"]
+
+# The linkages known to be elementwise and to map (0, 0, 0) to 0 — the
+# contract the co-located collapse relies on (see `Linkage.update`).
+# Matched by exact type: a subclass may override `update`.
+_COLLAPSIBLE = frozenset(LINKAGES.values())
 
 
 class AgglomerativeClustering:
@@ -113,7 +129,8 @@ class AgglomerativeClustering:
             )
         if not np.all(np.isfinite(matrix)):
             raise ClusteringError("fit_distance_matrix: distances contain NaN/inf")
-        if not np.allclose(matrix, matrix.T, atol=1e-9):
+        symmetric = np.array_equal(matrix, matrix.T)
+        if not symmetric and not np.allclose(matrix, matrix.T, atol=1e-9):
             raise ClusteringError("fit_distance_matrix: matrix is not symmetric")
         if np.any(np.diag(matrix) != 0.0):
             raise ClusteringError("fit_distance_matrix: diagonal must be zero")
@@ -129,17 +146,24 @@ class AgglomerativeClustering:
         # `cluster_ids[i]` maps matrix slots to dendrogram cluster ids;
         # `sizes[i]` tracks member counts.  `row_min[i]`/`row_arg[i]`
         # cache each row's minimum and the first column holding it
-        # (`inf`/-1 for retired rows).
-        working = matrix.copy()
-        np.fill_diagonal(working, np.inf)
-        retired = np.zeros(count, dtype=bool)
-        cluster_ids = list(range(count))
-        sizes = np.ones(count, dtype=int)
+        # (`inf`/-1 for retired rows).  The collapse, when it applies,
+        # hands over the distinct positions with their merges so far.
+        collapsed = self._collapse_colocated(matrix) if symmetric else None
+        if collapsed is None:
+            working = matrix.copy()
+            np.fill_diagonal(working, np.inf)
+            cluster_ids = list(range(count))
+            sizes = np.ones(count, dtype=int)
+            merges: list[Merge] = []
+        else:
+            working, cluster_ids, sizes, merges = collapsed
+        slots = working.shape[0]
+        first_id = count + len(merges)
+        retired = np.zeros(slots, dtype=bool)
         row_arg = working.argmin(axis=1)
         row_min = working.min(axis=1)
-        merges: list[Merge] = []
 
-        for step in range(count - 1):
+        for step in range(slots - 1):
             # The first row holding the global minimum, then its first
             # column: the cell a flat argmin over the matrix returns.
             row = int(row_min.argmin())
@@ -178,7 +202,7 @@ class AgglomerativeClustering:
             working[q] = np.inf
             working[:, q] = np.inf
             sizes[p] += sizes[q]
-            cluster_ids[p] = count + step
+            cluster_ids[p] = first_id + step
 
             # Rows whose cached column was p or q are stale (row p
             # changed wholesale, so it is marked to join them).  Every
@@ -199,6 +223,92 @@ class AgglomerativeClustering:
             row_min[stale] = block.min(axis=1)
 
         return Dendrogram(resolved_labels, merges)
+
+    def _collapse_colocated(
+        self, matrix: np.ndarray
+    ) -> tuple[np.ndarray, list[int], np.ndarray, list[Merge]] | None:
+        """Merge every group of co-located points, in the loop's order.
+
+        A group is a set of points at distance 0 from each other and
+        from nothing else; its leader is its lowest index.  The flat
+        ``argmin`` takes the zero-distance merges first: the lowest
+        leader's group, members in ascending order, then the next
+        group.  Each member is folded into its leader's row of the
+        leaders' submatrix with the Lance-Williams update the loop would
+        run.  Returns the g x g working matrix of the leaders (diagonal
+        ``inf``), their cluster ids and sizes, and the zero merges — or
+        ``None`` when the input has no co-located points or the collapse
+        cannot promise the loop's exact merges:
+
+        * the linkage is not exactly one of the built-in classes;
+        * a point's row is not bitwise equal to its leader's;
+        * the diagonal holds a ``-0.0`` (Ward and centroid would turn a
+          later zero merge distance into ``+0.0``);
+        * a fold made a distance between two groups 0, so the loop would
+          have taken it among the zero merges.
+
+        Expects an exactly symmetric matrix that passed the input checks:
+        the fold reads a member's column through its leader's, which
+        only holds when rows and columns agree.
+        """
+        linkage = self._linkage
+        if type(linkage) not in _COLLAPSIBLE:
+            return None
+        count = matrix.shape[0]
+        leader = (matrix == 0.0).argmax(axis=1)
+        is_leader = leader == np.arange(count)
+        if is_leader.all():
+            return None
+        # Bitwise-equal rows in a symmetric matrix also rule out a zero
+        # between two groups: it would give one leader a zero left of it.
+        bits = matrix.view(np.int64)
+        if np.signbit(np.diag(matrix)).any() or not np.array_equal(
+            bits, bits[leader]
+        ):
+            return None
+
+        leaders = is_leader.nonzero()[0]
+        counts = np.bincount(leader)[leaders]
+        working = matrix[np.ix_(leaders, leaders)]
+        np.fill_diagonal(working, np.inf)
+        cluster_ids = leaders.tolist()
+        sizes = np.ones(len(leaders), dtype=int)
+        merges: list[Merge] = []
+        # Rows by leader, then ascending: each group starts with its leader.
+        grouped = np.argsort(leader, kind="stable")
+        ends = np.cumsum(counts)
+        next_id = count
+        for slot in (counts > 1).nonzero()[0]:
+            group = grouped[ends[slot] - counts[slot] : ends[slot]]
+            # The loop folds each member's row into the leader's; a
+            # member's row is the leader's row before the group merged.
+            row = working[slot]
+            folded = row
+            size = 1
+            for member, distance in zip(
+                group[1:].tolist(), matrix[group[0], group[1:]].tolist()
+            ):
+                merges.append(
+                    Merge(
+                        first=cluster_ids[slot],
+                        second=member,
+                        distance=distance,
+                        size=size + 1,
+                    )
+                )
+                folded = linkage.update(folded, row, distance, size, 1, sizes)
+                size += 1
+                cluster_ids[slot] = next_id
+                next_id += 1
+            sizes[slot] = size
+            folded[slot] = np.inf
+            working[slot] = folded
+            working[:, slot] = folded
+        # Under these linkages a folded-in zero stays zero through every
+        # later fold, so checking the end result covers every step.
+        if (working == 0.0).any():
+            return None
+        return working, cluster_ids, sizes, merges
 
     @staticmethod
     def _resolve_labels(

@@ -58,6 +58,13 @@ class Linkage:
         Elementwise over ``k``: the agglomerative fit passes whole
         matrix rows, and discards the entries for ``p``, ``q`` and
         retired slots (whose inputs are ``inf``).
+
+        The fit's collapse of co-located points relies on two more
+        properties: each entry depends only on the same entry of
+        ``d_pk``, ``d_qk`` and ``sizes_k``, and zero inputs
+        (``d_pk = d_qk = d_pq = 0``) give 0.  It trusts them only for
+        the five built-in classes; any other class, subclasses
+        included, takes the plain merge loop.
         """
         raise NotImplementedError
 

@@ -38,7 +38,13 @@ from repro.obs.context import TraceContext, current_context, new_context, use_co
 from repro.obs.ledger import NullRecorder, RunRecorder, new_run_id, use_recorder
 from repro.obs.log import fmt_kv, get_logger
 from repro.obs.metrics import use_metrics
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, use_tracer
+from repro.obs.trace import (
+    NULL_TRACER,
+    NullTracer,
+    Tracer,
+    current_tracer,
+    use_tracer,
+)
 from repro.service.events import EventTapTracer, RunEventStream
 from repro.service.http import (
     DEFAULT_MAX_BODY_BYTES,
@@ -132,7 +138,6 @@ class ScoringService:
         max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
         max_body: int = DEFAULT_MAX_BODY_BYTES,
         drain_grace: float = DEFAULT_DRAIN_GRACE,
-        trace_path: str | None = None,
         slow_request_ms: float | None = None,
         heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS,
     ) -> None:
@@ -142,7 +147,6 @@ class ScoringService:
         self.max_concurrency = max(1, int(max_concurrency))
         self.max_body = max_body
         self.drain_grace = drain_grace
-        self.trace_path = trace_path
         self.slow_request_ms = slow_request_ms
         self.heartbeat_seconds = heartbeat_seconds
         self.draining = False
@@ -155,10 +159,10 @@ class ScoringService:
         self._busy_requests = 0
         self._queued_requests = 0
         self._stopped: asyncio.Event | None = None
-        # Per-request analyze tracers graft into this daemon-lifetime
-        # sink (worker threads serialize on the lock); drain writes it
-        # to trace_path — the fix for `serve --trace` being ignored.
-        self._trace_sink: Tracer | None = Tracer() if trace_path else None
+        # The tracer ambient when start() ran (`serve --trace` installs
+        # one): compute threads do not see the ContextVar, so finished
+        # request span trees are grafted into it under the lock.
+        self._tracer: Tracer | NullTracer = NULL_TRACER
         self._trace_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
@@ -169,8 +173,10 @@ class ScoringService:
         Nothing ambient is installed here: each compute thread installs
         the runtime's registry (with the request's context, recorder
         and tracer) around its own analysis, so two daemons in one
-        process never share or restore each other's registry.
+        process never share or restore each other's registry.  The
+        ambient tracer is only read: requests' spans end up in it.
         """
+        self._tracer = current_tracer()
         self._stopped = asyncio.Event()
         self._semaphore = asyncio.Semaphore(self.max_concurrency)
         self._executor = ThreadPoolExecutor(
@@ -278,24 +284,6 @@ class ScoringService:
 
         if self._executor is not None:
             self._executor.shutdown(wait=False)
-        if self._trace_sink is not None and self.trace_path:
-            try:
-                self._trace_sink.write(self.trace_path)
-                _log.info(
-                    fmt_kv(
-                        "service.trace_written",
-                        path=self.trace_path,
-                        spans=sum(1 for _ in self._trace_sink.spans()),
-                    )
-                )
-            except OSError as exc:
-                _log.warning(
-                    fmt_kv(
-                        "service.trace_error",
-                        path=self.trace_path,
-                        error=str(exc),
-                    )
-                )
         _log.info(fmt_kv("service.drain_done"))
         if self._stopped is not None:
             self._stopped.set()
@@ -796,7 +784,7 @@ class ScoringService:
         tracer: Tracer | NullTracer = NULL_TRACER
         if stream is not None:
             tracer = EventTapTracer(stream)
-        elif self._trace_sink is not None:
+        elif self._tracer.enabled:
             tracer = Tracer()
         try:
             with (
@@ -820,13 +808,13 @@ class ScoringService:
         return response
 
     def _absorb_trace(self, tracer: Tracer | NullTracer) -> None:
-        """Graft one request's finished spans into the daemon trace sink."""
-        if self._trace_sink is None:
+        """Graft one request's finished spans into the daemon's tracer."""
+        if not self._tracer.enabled:
             return
         with self._trace_lock:
             for root in tracer.roots:
                 if root.finished:
-                    self._trace_sink.graft(root)
+                    self._tracer.graft(root)
 
 
 class _Inflight:

@@ -18,6 +18,7 @@ service-level test fixture::
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import http.client
 import json
 import threading
@@ -236,9 +237,17 @@ class ServiceThread:
         return ServiceClient(self.host, self.port, timeout=timeout)
 
     def start(self) -> "ServiceThread":
-        """Start the loop thread; returns once the port is bound."""
+        """Start the loop thread; returns once the port is bound.
+
+        The loop runs in a copy of the caller's context, so the service
+        sees the tracer the caller installed (see ``ScoringService.start``).
+        """
+        context = contextvars.copy_context()
         self._thread = threading.Thread(
-            target=self._run, name="repro-service-loop", daemon=True
+            target=context.run,
+            args=(self._run,),
+            name="repro-service-loop",
+            daemon=True,
         )
         self._thread.start()
         self._ready.wait(timeout=30.0)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 from urllib.parse import parse_qsl, urlsplit
@@ -37,6 +38,8 @@ __all__ = [
 ]
 
 MAX_HEADER_BYTES = 16 * 1024
+
+_FORBIDDEN_IN_HEADER = re.compile("[\x00\r\n]")
 
 # Request bodies above this are refused with 413 before buffering; a
 # full Table-III-shaped /score body is ~2KB, so 2MiB is generous
@@ -120,7 +123,15 @@ async def read_request(
         name, sep, value = line.partition(":")
         if not sep or not name.strip():
             raise HttpError(400, f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        # RFC 9110 5.5: a field value holding NUL, CR or LF is invalid.
+        if _FORBIDDEN_IN_HEADER.search(line):
+            raise HttpError(400, f"control character in header line {line!r}")
+        name = name.strip().lower()
+        # RFC 9112 6.3: more than one Content-Length is unrecoverable
+        # framing (a smuggling vector behind a proxy), so it is refused.
+        if name == "content-length" and name in headers:
+            raise HttpError(400, "more than one Content-Length header")
+        headers[name] = value.strip(" \t")
 
     if "chunked" in headers.get("transfer-encoding", "").lower():
         raise HttpError(501, "chunked transfer encoding is not supported")
@@ -128,14 +139,15 @@ async def read_request(
     body = b""
     length_header = headers.get("content-length")
     if length_header is not None:
+        # 1*DIGIT: `int` alone would also take "+3" and "1_0".
+        if not (length_header.isascii() and length_header.isdigit()):
+            raise HttpError(400, f"malformed Content-Length {length_header!r}")
         try:
             length = int(length_header)
-        except ValueError:
+        except ValueError:  # past the interpreter's digit limit
             raise HttpError(
                 400, f"malformed Content-Length {length_header!r}"
             ) from None
-        if length < 0:
-            raise HttpError(400, f"negative Content-Length {length}")
         if length > max_body:
             raise HttpError(
                 413,
@@ -148,7 +160,10 @@ async def read_request(
             except asyncio.IncompleteReadError:
                 raise HttpError(400, "request body shorter than Content-Length")
 
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError:  # e.g. an unclosed IPv6 bracket, "http://["
+        raise HttpError(400, f"malformed request target {target!r}") from None
     return HttpRequest(
         method=method.upper(),
         path=split.path or "/",

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cluster.agglomerative import AgglomerativeClustering
-from repro.cluster.linkage import LINKAGES
+from repro.cluster.linkage import LINKAGES, CompleteLinkage
 from repro.stats.distance import pairwise_distances
 
 from tests.reference_kernels import reference_agglomerative_merges
@@ -128,3 +128,127 @@ def test_three_hundred_points_on_som_lattice(linkage):
     rng = np.random.default_rng(13)
     points = rng.integers(0, 13, size=(300, 2)).astype(float)
     _assert_same_merges(pairwise_distances(points), linkage)
+
+
+# -- the co-located collapse ------------------------------------------------
+#
+# With more points than distinct positions, the fit merges each group of
+# co-located points in bulk and runs the loop on the distinct positions
+# only.  These cases check that collapse against the same full-matrix
+# reference, and that it steps aside wherever it could not match it.
+
+
+def _collapses(distances: np.ndarray, linkage) -> bool:
+    return (
+        AgglomerativeClustering(linkage=linkage)._collapse_colocated(distances)
+        is not None
+    )
+
+
+@pytest.mark.parametrize("linkage", LINKAGE_NAMES)
+def test_thousand_points_on_som_lattice_collapse_to_their_cells(linkage):
+    # The big-suite shape: 1000 workloads on a 13x13 map.
+    rng = np.random.default_rng(26)
+    points = rng.integers(0, 13, size=(1000, 2)).astype(float)
+    cells = len(np.unique(points, axis=0))
+    distances = pairwise_distances(points)
+    working, _, sizes, merges = AgglomerativeClustering(
+        linkage=linkage
+    )._collapse_colocated(distances)
+    assert working.shape == (cells, cells)
+    assert len(merges) == 1000 - cells and sizes.sum() == 1000
+    _assert_same_merges(distances, linkage)
+
+
+@st.composite
+def duplicate_stacks(draw):
+    """Gaussian points, each repeated as exact float copies, shuffled."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(draw(st.integers(1, 12)), draw(st.integers(1, 4))))
+    copies = draw(
+        st.lists(st.integers(1, 6), min_size=len(base), max_size=len(base))
+    )
+    points = np.repeat(base, copies, axis=0)
+    return points[rng.permutation(len(points))]
+
+
+@pytest.mark.parametrize("linkage", LINKAGE_NAMES)
+@given(points=duplicate_stacks())
+@settings(max_examples=40, deadline=None)
+def test_gaussian_duplicate_stacks(linkage, points):
+    _assert_same_merges(pairwise_distances(points), linkage)
+
+
+@pytest.mark.parametrize("linkage", LINKAGE_NAMES)
+@given(points=lattice_points())
+@settings(max_examples=40, deadline=None)
+def test_lattice_at_underflow_scale(linkage, points):
+    # Coordinates of ~1e-160: Ward and centroid square distances into
+    # the subnormals or to zero, so a fold can make two distinct cells
+    # look co-located.  The loop would take that zero among the zero
+    # merges; the collapse must step aside rather than reorder.
+    _assert_same_merges(pairwise_distances(points * 1e-160), linkage)
+
+
+def test_underflowing_ward_fold_declines_the_collapse():
+    points = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [5.0]]) * 1e-162
+    distances = pairwise_distances(points)
+    assert _collapses(distances, "complete")
+    assert not _collapses(distances, "ward")
+    _assert_same_merges(distances, "ward")
+
+
+@pytest.mark.parametrize("linkage", LINKAGE_NAMES)
+@given(
+    points=lattice_points(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_near_symmetric_matrix_with_duplicate_rows(linkage, points, seed):
+    # Symmetric only to within ulps, so the fit takes the `allclose`
+    # check.  Co-located rows stay bitwise equal, but a co-located
+    # point's column need not match its leader's: the loop folds rows,
+    # so the collapse must leave such a matrix to it.
+    distances = pairwise_distances(points)
+    rng = np.random.default_rng(seed)
+    jitter = rng.integers(-1, 2, size=distances.shape) * 1e-12
+    distances = np.where(distances > 0.0, distances + jitter, 0.0)
+    leader = (distances == 0.0).argmax(axis=1)
+    distances = distances[leader]
+    np.fill_diagonal(distances, 0.0)
+    _assert_same_merges(distances, linkage)
+
+
+def test_signed_zero_diagonal_declines_the_collapse():
+    # Ward maps a -0.0 distance to +0.0 once a group has merged, so the
+    # loop's later zero merges read +0.0 where the input holds -0.0.
+    distances = pairwise_distances(np.array([[0.0], [0.0], [0.0], [2.0]]))
+    distances[:3, :3] = -0.0
+    for linkage in LINKAGE_NAMES:
+        assert not _collapses(distances, linkage)
+        _assert_same_merges(distances, linkage)
+
+
+class _SizePenaltyLinkage(CompleteLinkage):
+    """Complete linkage plus a size penalty: zeros do not stay zero."""
+
+    def update(self, d_pk, d_qk, d_pq, size_p, size_q, sizes_k):
+        return np.maximum(d_pk, d_qk) + 0.5 * (size_p + size_q)
+
+
+def test_custom_linkage_subclass_takes_the_plain_loop():
+    points = np.array([[0.0], [0.0], [0.0], [0.0], [3.0], [3.0], [7.0]])
+    distances = pairwise_distances(points)
+    assert _collapses(distances, "complete")
+    assert not _collapses(distances, _SizePenaltyLinkage())
+    _assert_same_merges(distances, _SizePenaltyLinkage())
+
+
+@pytest.mark.parametrize("linkage", LINKAGE_NAMES)
+def test_zero_distance_between_distinct_rows_takes_the_plain_loop(linkage):
+    # Not a metric: points 0 and 1 are at distance 0 but lie at
+    # different distances from point 2, so 1 is no copy of 0.
+    distances = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    assert not _collapses(distances, linkage)
+    _assert_same_merges(distances, linkage)

@@ -4,8 +4,8 @@ Async ``/analyze`` progress must be watchable in real time — ordered
 stage events ending in a ``run.finished`` that agrees with the polled
 job — with SSE resume semantics, trace-context headers on every
 response, ``coalesced_with`` back-links in the ledger, the slow-request
-log, latency exemplars on ``/metricsz``, and the ``serve --trace``
-sink written at drain.
+log, latency exemplars on ``/metricsz``, and ``serve --trace``
+request spans landing in the tracer the daemon was started under.
 """
 
 from __future__ import annotations
@@ -13,13 +13,21 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.obs.trace import Tracer, use_tracer
 from repro.service import ServiceRuntime, ServiceThread
+
+REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 TRACE_ID = "ab" * 16
 TRACEPARENT = f"00-{TRACE_ID}-{'cd' * 8}-01"
@@ -335,13 +343,12 @@ class TestServiceTelemetry:
         assert any("endpoint=/healthz" in message for message in slow)
 
 
-class TestServeTraceSink:
-    def test_request_spans_are_written_on_drain(self, tmp_path):
-        trace_path = tmp_path / "service-trace.jsonl"
+class TestServeTrace:
+    def test_request_spans_graft_into_the_starting_tracer(self, tmp_path):
         runtime = ServiceRuntime(cache_dir=str(tmp_path / "cache"))
-        server = ServiceThread(
-            runtime=runtime, trace_path=str(trace_path)
-        ).start()
+        tracer = Tracer()
+        with use_tracer(tracer):
+            server = ServiceThread(runtime=runtime).start()
         try:
             client = server.client()
             status, _ = client.request(
@@ -356,18 +363,55 @@ class TestServeTraceSink:
             assert status == 200
         finally:
             server.stop()
-        assert trace_path.exists(), "drain did not write the trace sink"
+        flat = list(tracer.spans())
+        assert any(s.name == "pipeline.run" for s in flat)
+        assert {s.trace_id for s in flat} == {TRACE_ID}
+
+    def test_serve_trace_file_holds_cli_and_request_spans(self, tmp_path):
+        # One writer per file: the daemon grafts request spans into the
+        # CLI's tracer, which main() writes once the daemon drains.
+        trace_path = tmp_path / "t.jsonl"
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        with subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--trace", str(trace_path),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+            text=True,
+        ) as process:
+            try:
+                banner = process.stdout.readline()
+                assert "serving on http://127.0.0.1:" in banner, banner
+                port = int(banner.split("http://127.0.0.1:")[1].split()[0])
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", port, timeout=120
+                )
+                connection.request(
+                    "POST",
+                    "/analyze",
+                    json.dumps({"machine": "A"}),
+                    {
+                        "Content-Type": "application/json",
+                        "traceparent": TRACEPARENT,
+                    },
+                )
+                assert connection.getresponse().status == 200
+                connection.close()
+                process.send_signal(signal.SIGTERM)
+                assert process.wait(timeout=60) == 0
+            finally:
+                if process.poll() is None:
+                    process.kill()
         spans = [
             json.loads(line)
             for line in trace_path.read_text(encoding="utf-8").splitlines()
         ]
-        assert spans
-
-        def _walk(payload):
-            yield payload
-            for child in payload.get("children") or ():
-                yield from _walk(child)
-
-        flat = [s for root in spans for s in _walk(root)]
-        assert any(s["name"] == "pipeline.run" for s in flat)
-        assert {s.get("trace_id") for s in flat} == {TRACE_ID}
+        roots = [s for s in spans if s["parent"] is None]
+        assert [s["name"] for s in roots] == ["cli.serve"]
+        stages = [s for s in spans if s["name"].startswith("stage.")]
+        assert stages, [s["name"] for s in spans]
+        assert {s["trace_id"] for s in stages} == {TRACE_ID}
