@@ -41,6 +41,11 @@ MAX_HEADER_BYTES = 16 * 1024
 
 _FORBIDDEN_IN_HEADER = re.compile("[\x00\r\n]")
 
+# RFC 9110 5.1 field-name = token (5.6.2).  Whitespace is not a tchar,
+# so this also refuses "Content-Length : 2" (RFC 9112 5.1) and an
+# obs-fold continuation line that starts with SP or HTAB (5.2).
+_FIELD_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+
 # Request bodies above this are refused with 413 before buffering; a
 # full Table-III-shaped /score body is ~2KB, so 2MiB is generous
 # headroom for big suites without letting one request balloon memory.
@@ -121,12 +126,12 @@ async def read_request(
         if not line:
             continue
         name, sep, value = line.partition(":")
-        if not sep or not name.strip():
+        if not sep or not _FIELD_NAME.fullmatch(name):
             raise HttpError(400, f"malformed header line {line!r}")
         # RFC 9110 5.5: a field value holding NUL, CR or LF is invalid.
         if _FORBIDDEN_IN_HEADER.search(line):
             raise HttpError(400, f"control character in header line {line!r}")
-        name = name.strip().lower()
+        name = name.lower()
         # RFC 9112 6.3: more than one Content-Length is unrecoverable
         # framing (a smuggling vector behind a proxy), so it is refused.
         if name == "content-length" and name in headers:

@@ -16,7 +16,10 @@ same answers as the same rows of a full-matrix call (pinned by
 The kernel is kept for two reasons.  The golden batch fixtures were
 recorded with it, and the pruned search scores its shortlists with the
 same einsum, and falls back to this function for whole calls, so its
-winners match this search bit for bit.
+winners match this search bit for bit.  :func:`bmu_best_two` ranks the
+same scores for a sample's best and second-best unit: the quality
+gauges' dense path, and the ranking the pruned search's top-two query
+returns bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ try:  # Same C kernel as np.einsum, minus the parsing wrapper.
 except ImportError:  # pragma: no cover - other numpy layouts
     _einsum = np.einsum
 
-__all__ = ["bmu_indices", "bmu_scores"]
+__all__ = ["bmu_best_two", "bmu_indices", "bmu_scores"]
 
 
 def bmu_scores(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -58,3 +61,18 @@ def bmu_indices(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per-sample index of the nearest weight vector, shape ``(n,)``."""
     return np.argmin(bmu_scores(matrix, weights), axis=1)
 
+
+def bmu_best_two(
+    matrix: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample best and second-best unit, each shape ``(n,)``.
+
+    Units rank by ``(score, index)``: the best is :func:`bmu_indices`'s
+    unit and the second the argmin with the best masked out, so a tie
+    at the top puts the lower index first and the other one second.
+    Needs at least two units.
+    """
+    scores = bmu_scores(matrix, weights)
+    best = np.argmin(scores, axis=1)
+    scores[np.arange(scores.shape[0]), best] = np.inf
+    return best, np.argmin(scores, axis=1)

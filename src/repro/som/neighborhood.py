@@ -28,6 +28,13 @@ __all__ = [
 class NeighborhoodKernel:
     """Interface: kernel weights from squared map distances and a radius.
 
+    A kernel is elementwise in the squared distance: each output entry
+    is a function of its own input entry and ``sigma`` alone, the same
+    float whatever array it sits in.  Batch training relies on this: it
+    evaluates the kernel once on the ``(U, U)`` distance table and
+    gathers rows of the result (:mod:`repro.som.batch`), which is
+    bitwise the kernel of the gathered distances.
+
     ``out``, when given, receives the result in place (no allocation);
     the training hot loop relies on this to reuse one kernel buffer
     across all steps.  The in-place path is bitwise identical to the

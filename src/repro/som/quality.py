@@ -16,7 +16,10 @@ Both rank units with the einsum scores of
 best unit here is bitwise the cell it is projected to.  The second
 best unit is the nearest unit other than the best one (lowest index
 among ties).  :func:`map_quality` derives the best units and both
-errors from one score pass; the reduce stage uses it.
+errors from one ranking; the reduce stage uses it.  Given the batch
+fit's :class:`~repro.som.bmu_fast.PrunedBMUSearch` it takes that
+ranking from the search's top-two query, bitwise the dense one,
+instead of a dense score pass.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import SOMError
-from repro.som.bmu import bmu_scores
+from repro.som.bmu import bmu_best_two
+from repro.som.bmu_fast import PrunedBMUSearch
 from repro.som.som import SelfOrganizingMap
 
 __all__ = ["MapQuality", "map_quality", "quantization_error", "topographic_error"]
@@ -60,29 +64,44 @@ def _checked_matrix(
     return matrix
 
 
-def _topographic_error_of(
-    som: SelfOrganizingMap, scores: np.ndarray, bmus: np.ndarray
-) -> float:
-    """Topographic error from a score matrix it may overwrite."""
-    if scores.shape[1] < 2:
+def _best_two(
+    som: SelfOrganizingMap,
+    matrix: np.ndarray,
+    search: PrunedBMUSearch | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best and second-best units, from ``search`` when it covers ``matrix``."""
+    if som._weights.shape[0] < 2:
         raise SOMError("SOM: map has a single unit; no second BMU exists")
-    scores[np.arange(scores.shape[0]), bmus] = np.inf
-    second = np.argmin(scores, axis=1)
-    adjacent = som.grid.lattice_neighbor_mask(bmus, second)
-    return int(np.count_nonzero(~adjacent)) / scores.shape[0]
+    if search is not None and search.matrix is matrix:
+        return search.best_two(som._weights)
+    return bmu_best_two(matrix, som._weights)
+
+
+def _topographic_error_of(
+    som: SelfOrganizingMap, best: np.ndarray, second: np.ndarray
+) -> float:
+    adjacent = som.grid.lattice_neighbor_mask(best, second)
+    return int(np.count_nonzero(~adjacent)) / best.size
 
 
 def map_quality(
-    som: SelfOrganizingMap, data: Sequence[Sequence[float]] | np.ndarray
+    som: SelfOrganizingMap,
+    data: Sequence[Sequence[float]] | np.ndarray,
+    *,
+    search: PrunedBMUSearch | None = None,
 ) -> MapQuality:
-    """Best units, quantization and topographic error in one pass."""
+    """Best units, quantization and topographic error from one ranking.
+
+    ``search`` is the batch fit's BMU search; when it was built for
+    this very matrix its top-two query ranks the units (bitwise the
+    dense ranking), otherwise one dense score pass does.
+    """
     matrix = _checked_matrix(som, data, "map_quality")
-    scores = bmu_scores(matrix, som._weights)
-    bmus = np.argmin(scores, axis=1)
+    best, second = _best_two(som, matrix, search)
     return MapQuality(
-        bmus=bmus,
-        quantization_error=som._quantization_error_of(matrix, bmus),
-        topographic_error=_topographic_error_of(som, scores, bmus),
+        bmus=best,
+        quantization_error=som._quantization_error_of(matrix, best),
+        topographic_error=_topographic_error_of(som, best, second),
     )
 
 
@@ -99,5 +118,4 @@ def topographic_error(
 ) -> float:
     """Fraction of samples whose two best units are not adjacent."""
     matrix = _checked_matrix(som, data, "topographic_error")
-    scores = bmu_scores(matrix, som._weights)
-    return _topographic_error_of(som, scores, np.argmin(scores, axis=1))
+    return _topographic_error_of(som, *_best_two(som, matrix))

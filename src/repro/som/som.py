@@ -178,6 +178,9 @@ class SelfOrganizingMap:
         self._history: tuple[tuple[int, float], ...] = ()
         self._epochs_trained = 0
         self._bmu_stats: dict[str, Any] | None = None
+        # The last batch fit's BMU search, until the reduce stage takes
+        # it (see _take_search); never pickled.
+        self._search: PrunedBMUSearch | None = None
 
     # -- accessors ---------------------------------------------------------
 
@@ -252,7 +255,9 @@ class SelfOrganizingMap:
         :mod:`repro.som.bmu_fast`, which returns the dense search's
         indices bit for bit.  The fit runs one :class:`~repro.pca.PCA`
         on the training matrix and hands it to both the PCA initializer
-        and that search, so the covariance is diagonalized once.
+        and that search, so the covariance is diagonalized once.  The
+        map keeps that search until the reduce stage takes it to rank
+        the final weights (``_take_search``); it is never pickled.
         ``bmu_strategy`` (batch mode only) picks only the epoch-update
         arithmetic: ``"exact"`` (default,
         bitwise the reference batch loop) or ``"pruned"`` — the grouped
@@ -304,6 +309,7 @@ class SelfOrganizingMap:
             self._history = ()
             self._epochs_trained = 0
             self._bmu_stats = None
+            self._search = None
 
             if mode == "sequential":
                 self._fit_sequential(matrix, rng, track_quality_every)
@@ -648,6 +654,25 @@ class SelfOrganizingMap:
                     span.set(quantization_error_skipped=True)
         self._epochs_trained = epochs
         self._bmu_stats = search.stats()
+        self._search = search
+
+    def _take_search(self) -> PrunedBMUSearch | None:
+        """The last batch fit's BMU search, detached from the map.
+
+        ``None`` after a sequential fit or once taken.  The reduce
+        stage ranks the final weights with it
+        (:func:`repro.som.quality.map_quality`), which reuses the fit's
+        projected samples instead of a dense pass; taking it leaves the
+        map without it, so a memoized map does not hold the search's
+        buffers.
+        """
+        search, self._search = self._search, None
+        return search
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = self.__dict__.copy()
+        state["_search"] = None  # bound to the training matrix
+        return state
 
     def _batch_epoch(
         self,

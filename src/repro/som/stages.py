@@ -12,9 +12,10 @@ quantization-error trajectory (surfaced as ``qe`` events on the
 ``som.fit`` tracing span and via ``SelfOrganizingMap.training_history``)
 and publishes the final quantization/topographic errors as gauges in
 the ambient metrics registry.  Positions and both gauges come from one
-BMU score pass (:func:`repro.som.quality.map_quality`); the
-quantization-error gauge is bitwise the span's
-``final_quantization_error``.
+ranking of the units (:func:`repro.som.quality.map_quality`); after a
+batch fit that ranking is the top-two query of the fit's own pruned
+search, bitwise the dense one.  The quantization-error gauge is
+bitwise the span's ``final_quantization_error``.
 """
 
 from __future__ import annotations
@@ -88,16 +89,19 @@ class SOMReduceStage(Stage):
     def run(self, ctx: RunContext) -> Mapping[str, Any]:
         """Train the map and project every workload to a cell."""
         prepared: CharacteristicVectors = ctx["prepared_vectors"]
+        matrix = prepared.matrix  # a copy per read: read it once
         total_steps = self._config.steps_per_sample * len(prepared.labels)
         som = SelfOrganizingMap(self._config).fit(
-            prepared.matrix,
+            matrix,
             mode=self._mode,
             bmu_strategy=self._bmu_strategy,
             track_quality_every=max(1, total_steps // _HISTORY_POINTS),
         )
-        # One score pass gives the cells project() would return plus
-        # both quality gauges.
-        quality = map_quality(som, prepared.matrix)
+        # One ranking gives the cells project() would return plus both
+        # quality gauges.  A batch fit's search answers it from its
+        # pruned bound; it is taken off the map first, so the map this
+        # stage outputs (and the engine memoizes) does not keep it.
+        quality = map_quality(som, matrix, search=som._take_search())
         rows, cols = np.divmod(quality.bmus, som.grid.columns)
         positions = {
             label: (int(row), int(col))

@@ -101,6 +101,10 @@ def _assert_parses_or_rejects(data: bytes) -> None:
     assert all(re.fullmatch("[0-9]+", value) for value in lengths)
     header_block = data.split(b"\r\n\r\n", 1)[0].partition(b"\r\n")[2]
     assert b"\x00" not in header_block
+    # Every field name is an RFC 9110 token: no whitespace, no fold.
+    assert all(
+        re.fullmatch(r"[!#$%&'*+\-.^_`|~0-9a-z]+", name) for name in request.headers
+    )
     if lengths:
         assert len(request.body) == int(lengths[0])
 
@@ -170,6 +174,10 @@ MALFORMED = {
     b"Content-Length: 2\r\n\r\n{}",
     "NUL in a header value": b"GET /healthz HTTP/1.1\r\nX-Note: a\x00b\r\n\r\n",
     "bare CR in a header value": b"GET /healthz HTTP/1.1\r\nX-Note: a\rb\r\n\r\n",
+    "space before the colon": b"POST /score HTTP/1.1\r\nContent-Length : 2\r\n"
+    b"\r\n{}",
+    "obs-fold line": b"GET /healthz HTTP/1.1\r\nX-Note: a\r\n Host: x\r\n\r\n",
+    "tab-folded line": b"GET /healthz HTTP/1.1\r\nX-Note: a\r\n\tHost: x\r\n\r\n",
 }
 
 

@@ -24,11 +24,14 @@ switched off (:func:`_engaged`) to exercise the pruned path itself.
 
 Every batch fit runs this search, whatever its ``bmu_strategy``, so an
 exact-strategy fit on a shape where the search engages must still be
-bitwise the reference batch loop.
+bitwise the reference batch loop.  The search's top-two query ranks
+the final weights for the reduce stage's positions and gauges, and
+must equal the dense ranking (:func:`bmu_best_two`) bit for bit too.
 """
 
 from __future__ import annotations
 
+import pickle
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -37,14 +40,18 @@ import pytest
 from hypothesis import assume, given, settings
 
 from repro.analysis.sweep import PipelineVariant
+from repro.characterization.base import CharacteristicVectors
+from repro.engine.stage import RunContext
 from repro.obs.metrics import MetricsRegistry, use_metrics
-from repro.som import bmu_fast
-from repro.som.bmu import bmu_indices
+from repro.som import batch, bmu, bmu_fast
+from repro.som import som as som_module
+from repro.som.bmu import bmu_best_two, bmu_indices
 from repro.pca import PCA
 from repro.som.bmu_fast import PrunedBMUSearch
 from repro.som.grid import Grid
-from repro.som.quality import quantization_error
+from repro.som.quality import map_quality, quantization_error, topographic_error
 from repro.som.som import SOMConfig, SelfOrganizingMap
+from repro.som.stages import SOMReduceStage
 from repro.synthetic import big_suite
 from tests.reference_kernels import reference_batch_weights
 
@@ -150,6 +157,123 @@ class TestIndexEquality:
         np.testing.assert_array_equal(
             search(weights), bmu_indices(matrix, weights)
         )
+
+
+def _assert_best_two(search: PrunedBMUSearch, weights: np.ndarray) -> None:
+    found = search.best_two(weights)
+    dense = bmu_best_two(search.matrix, weights)
+    np.testing.assert_array_equal(found[0], dense[0])
+    np.testing.assert_array_equal(found[1], dense[1])
+
+
+@st.composite
+def top_two_problems(draw):
+    """Shapes with at least two units, with duplicate rows, tied
+    weights and a common offset mixed in."""
+    samples = draw(st.integers(min_value=2, max_value=40))
+    units = draw(st.integers(min_value=2, max_value=30))
+    dim = draw(st.integers(min_value=2, max_value=10))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(samples, dim))
+    weights = rng.normal(size=(units, dim))
+    if draw(st.booleans()):  # duplicate rows
+        matrix[: samples // 2] = matrix[samples - samples // 2 :][: samples // 2]
+    for _ in range(draw(st.integers(0, 3))):  # tied and near-tied weights
+        source = draw(st.integers(0, units - 1))
+        twin = draw(st.integers(0, units - 1))
+        weights[twin] = weights[source]
+        if draw(st.booleans()):
+            weights[twin] = np.nextafter(weights[twin], np.inf)
+    if draw(st.booleans()):  # some weights sitting on samples
+        picks = rng.integers(0, samples, size=min(samples, units))
+        weights[: picks.size] = matrix[picks]
+    if draw(st.booleans()):
+        matrix += 1e3
+        weights += 1e3
+    return matrix, weights
+
+
+class TestTopTwo:
+    @given(top_two_problems())
+    @settings(max_examples=120, deadline=None)
+    def test_best_two_equals_the_dense_ranking_bitwise(self, problem):
+        """Pruning forced on: best and second-best unit, tie-breaks
+        included, are the dense ranking's."""
+        matrix, weights = problem
+        with _engaged():
+            _assert_best_two(_search(matrix), weights)
+
+    @given(top_two_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_blocked_gathers_change_no_bit(self, problem):
+        """Exact scoring in one-pair blocks: every pair's score is a
+        reduction over its own row, so the answers stay the dense ones."""
+        matrix, weights = problem
+        with _engaged(), mock.patch.object(bmu_fast, "_GATHER_BYTES", 1):
+            search = _search(matrix)
+            np.testing.assert_array_equal(
+                search(weights), bmu_indices(matrix, weights)
+            )
+            _assert_best_two(search, weights)
+
+    def test_big_suite_agreement(self):
+        data = _standardized(300, 100)
+        rows, cols = Grid.suggested_shape(300)
+        rng = np.random.default_rng(5)
+        search = _search(data)
+        for weights in (
+            rng.normal(size=(rows * cols, 100)),
+            data[rng.choice(300, rows * cols)] + 0.05 * rng.normal(size=(rows * cols, 100)),
+        ):
+            _assert_best_two(search, weights)
+        assert search.fallbacks == 0
+        assert search.pruning_rate > 0.5
+
+    @pytest.mark.parametrize(
+        "matrix, weights",
+        [
+            # Rank-starved: a one-dimensional projection.
+            (np.random.default_rng(1).normal(size=(1000, 2)),
+             np.random.default_rng(2).normal(size=(169, 2))),
+            # Too few pairs to prune.
+            (np.random.default_rng(3).normal(size=(25, 5)),
+             np.random.default_rng(4).normal(size=(6, 5))),
+            # Identical weights: the shortlist covers every pair.
+            (np.random.default_rng(5).normal(size=(400, 6)),
+             np.tile(np.random.default_rng(6).normal(size=(1, 6)), (64, 1))),
+        ],
+        ids=["rank-starved", "too-small", "identical-weights"],
+    )
+    def test_fallback_shapes_rank_densely(self, matrix, weights):
+        search = _search(matrix)
+        _assert_best_two(search, weights)
+        assert search.fallbacks == 1
+        assert search.exhaustive == matrix.shape[0] * weights.shape[0]
+
+
+class TestCandidateCounting:
+    def test_each_scored_pair_counts_once(self):
+        """``candidates`` equals the pairs the exact kernel scores: the
+        probe once per sample plus every other survivor once."""
+        data = _standardized(200, 32)
+        weights = np.random.default_rng(8).normal(size=(81, 32))
+        search = _search(data)
+        mask, probe = search.shortlist_mask(weights)
+        mask[np.arange(data.shape[0]), probe] = True
+        scored = []
+        einsum = bmu_fast._einsum
+
+        def spy(subscripts, *operands):
+            if subscripts == "pd,pd->p":
+                scored.append(operands[0].shape[0])
+            return einsum(subscripts, *operands)
+
+        with mock.patch.object(bmu_fast, "_einsum", spy):
+            search(weights)
+        assert search.fallbacks == 0
+        assert search.candidates == int(mask.sum()) == sum(scored)
+        assert search.pruned_pairs == data.shape[0] * 81 - int(mask.sum())
 
 
 class TestFallbacks:
@@ -313,6 +437,106 @@ class TestOnePrincipalAxesFit:
         prep = search._prep
         search(weights * 0.5)
         assert search._prep is prep
+
+
+def _reduce(matrix: np.ndarray, strategy: str, seed: int = 7):
+    """One batch reduce stage run: (som, positions, gauges)."""
+    labels = tuple(f"w{index:03d}" for index in range(matrix.shape[0]))
+    vectors = CharacteristicVectors(
+        labels=labels,
+        feature_names=tuple(f"f{index}" for index in range(matrix.shape[1])),
+        matrix=matrix,
+    )
+    rows, cols = Grid.suggested_shape(matrix.shape[0])
+    stage = SOMReduceStage(
+        SOMConfig(rows=rows, columns=cols, seed=seed),
+        mode="batch",
+        bmu_strategy=strategy,
+    )
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        outputs = stage.run(RunContext({"prepared_vectors": vectors}))
+    snapshot = registry.as_dict()
+    gauges = (
+        snapshot["repro_som_quantization_error"],
+        snapshot["repro_som_topographic_error"],
+    )
+    return outputs["som"], [outputs["positions"][label] for label in labels], gauges
+
+
+class TestReduceFromTheSearch:
+    @pytest.mark.parametrize("strategy", ["exact", "pruned"])
+    def test_positions_and_gauges_equal_the_dense_pass(self, strategy):
+        """The reduce stage ranks with the fit's search; everything it
+        reports is bitwise the dense ``map_quality`` of the same map."""
+        data = _standardized(300, 100)
+        som, positions, (qe, te) = _reduce(data, strategy)
+        assert som.bmu_stats["fallbacks"] == 0
+        dense = map_quality(som, data)
+        cells = np.column_stack(np.divmod(dense.bmus, som.grid.columns))
+        assert positions == [tuple(cell) for cell in cells.tolist()]
+        assert positions == [tuple(cell) for cell in som.project(data).tolist()]
+        assert qe == dense.quantization_error == quantization_error(som, data)
+        assert te == dense.topographic_error == topographic_error(som, data)
+
+    @pytest.mark.parametrize("strategy", ["exact", "pruned"])
+    def test_no_dense_score_pass_once_pruning_engages(self, strategy):
+        """200 samples x 81 units prune every call: neither the fit nor
+        the gauges run the dense ``(S, U)`` score kernel."""
+        data = _standardized(200, 32)
+        dense_calls = []
+        einsum = bmu._einsum
+
+        def spy(subscripts, *operands):
+            if subscripts == "sd,ud->su":
+                dense_calls.append(operands[0].shape)
+            return einsum(subscripts, *operands)
+
+        with mock.patch.object(bmu, "_einsum", spy):
+            som, _, _ = _reduce(data, strategy)
+        assert som.bmu_stats["fallbacks"] == 0
+        assert dense_calls == []
+
+    def test_the_search_is_not_kept_on_the_map(self):
+        """A batch fit holds its search only until the reduce stage
+        takes it; the stage's map and any pickled map carry none."""
+        data = _standardized(200, 32)
+        som, _, _ = _reduce(data, "exact")
+        assert som._take_search() is None
+        fitted = SelfOrganizingMap(SOMConfig(rows=9, columns=9, seed=7)).fit(
+            data, mode="batch"
+        )
+        assert isinstance(fitted._search, PrunedBMUSearch)
+        clone = pickle.loads(pickle.dumps(fitted))
+        assert clone._search is None
+        assert np.array_equal(clone.weights, fitted.weights)
+        fitted.fit(data)  # a sequential refit drops the old search
+        assert fitted._search is None
+
+
+class TestGroupedTerms:
+    def test_grouped_terms_track_the_exact_terms_over_a_fit(self):
+        """Kept by delta for 50 epochs, the grouped terms stay within
+        1e-12 (relative to each term's largest entry) of the exact
+        terms of the same BMUs."""
+        data = _standardized(300, 100)
+        rows, cols = Grid.suggested_shape(300)
+        errors = []
+
+        class Checked(batch.GroupedEpochTerms):
+            def __call__(self, weights, matrix, **kwargs):
+                grouped = super().__call__(weights, matrix, **kwargs)
+                exact = batch.exact_epoch_terms(weights, matrix, **kwargs)
+                for mine, reference in zip(grouped, exact):
+                    scale = np.abs(reference).max()
+                    errors.append(np.abs(mine - reference).max() / scale)
+                return grouped
+
+        with mock.patch.object(som_module, "GroupedEpochTerms", Checked):
+            som = SelfOrganizingMap(SOMConfig(rows=rows, columns=cols, seed=7))
+            som.fit(data, mode="batch", bmu_strategy="pruned")
+        assert len(errors) == 2 * som.epochs_trained
+        assert max(errors) <= 1e-12
 
 
 class TestPaperPipelineAgreement:

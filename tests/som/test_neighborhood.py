@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SOMError
+from repro.som.grid import Grid
 from repro.som.neighborhood import (
     BubbleNeighborhood,
     GaussianNeighborhood,
@@ -64,3 +65,20 @@ class TestResolve:
     def test_unknown_name(self):
         with pytest.raises(SOMError, match="unknown neighborhood kernel"):
             resolve_neighborhood("mexican-hat")
+
+
+class TestElementwise:
+    @pytest.mark.parametrize("kernel", [GaussianNeighborhood(), BubbleNeighborhood()])
+    @pytest.mark.parametrize(
+        "shape", [(3, 3, "rectangular"), (13, 13, "rectangular"), (7, 9, "hexagonal")]
+    )
+    def test_kernel_of_the_table_gathers_bitwise(self, kernel, shape):
+        """Batch training evaluates the kernel on the (U, U) table and
+        gathers rows; that must be the kernel of the gathered rows."""
+        rows, columns, topology = shape
+        table = Grid(rows, columns, topology=topology).squared_distance_table
+        bmus = np.random.default_rng(rows).integers(0, table.shape[0], 257)
+        for sigma in np.geomspace(0.05, 2.0 * max(rows, columns), 40):
+            gathered = kernel(table, sigma)[bmus]
+            direct = kernel(table[bmus], sigma)
+            assert gathered.tobytes() == direct.tobytes()
